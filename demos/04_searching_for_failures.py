@@ -16,21 +16,23 @@ printed here in the same layout as the summary CSV.
 import time
 
 from roadsearch import RoadParams, SearchConfig, VehicleParams, build_road, validate
-from roadsearch.search import builtin_evaluator, run_search
+from roadsearch.search import builtin_driver, evaluate, run_search
 from roadsearch.report import summary_row
 
 road_params = RoadParams()
 vehicle = VehicleParams(speed=25.0)  # high speed makes tight roads dangerous
 validity = lambda cps: validate(build_road(cps, road_params)).valid
+# a driver takes a road to a verdict; evaluate() builds each candidate's
+# road, validates it and drives only the valid ones
+drive = builtin_driver(vehicle, max_time=45.0)
+evaluator = lambda ind: evaluate(ind, road_params, drive)
 
 print(f"{'variant':8s} {'T':>4s} {'P':>4s} {'I':>4s} {'F':>4s} "
       f"{'AvgFrechet':>11s} {'MaxFrechet':>11s} {'time':>6s}")
 for variant in "ABC":
     cfg = SearchConfig(variant=variant, max_evaluations=150, seed=2)
     t0 = time.perf_counter()
-    report = run_search(
-        cfg, builtin_evaluator(road_params, vehicle, max_time=45.0),
-        validity=validity)
+    report = run_search(cfg, evaluator, validity=validity)
     elapsed = time.perf_counter() - t0
     row = summary_row(report)
     print(f"{variant:8s} {row['T']:4d} {row['P']:4d} {row['I']:4d} "

@@ -35,7 +35,7 @@ from .search import (
     Individual,
     RunReport,
     SearchConfig,
-    builtin_evaluator,
+    builtin_driver,
     crossover,
     evaluate,
     mutate,

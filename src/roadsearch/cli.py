@@ -19,24 +19,19 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ConfigError, parse_config, parse_config_dict
-from .geometry import ControlPointSet
+from .config import ConfigError, parse_config_dict, read_config
 from .protocol import SutDescriptor, external_evaluate
 from .report import (
     ReplayDivergence,
     load_archive,
-    render_test_svg,
+    render_failures,
     replay,
     summary_row,
     write_report,
     write_summary_csv,
-    _archive_params,
 )
 from .road import build_road, validate
-from .search import Individual, builtin_evaluator, run_search
-from .simulator import DT, INVALID, MAX_TIME, run_test
+from .search import Driver, builtin_driver, evaluate, run_search
 
 log = logging.getLogger("roadsearch")
 
@@ -77,30 +72,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _external_evaluator(road_params, sut: SutDescriptor):
-    def _eval(ind: Individual) -> Individual:
-        road = build_road(ind.genotype, road_params)
-        ind.centerline = road.centerline
-        if not validate(road).valid:
-            ind.verdict, ind.fitness = INVALID, 0.0
-            return ind
-        result = external_evaluate(road, sut)
-        ind.verdict, ind.fitness, ind.error = result.verdict, result.max_oob, result.error
-        return ind
-    return _eval
+def _driver(sut: SutDescriptor, vparams) -> Driver:
+    if sut.kind == "external":
+        return lambda road: external_evaluate(road, sut)
+    return builtin_driver(vparams)
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        search_cfg, road_params, vparams, sut = parse_config(args.config)
-    else:
-        search_cfg, road_params, vparams, sut = parse_config_dict({})
+    data = read_config(args.config) if args.config else {}
+    search_cfg, road_params, vparams, sut = parse_config_dict(data)
 
     overrides = {}
     if args.variant:
         overrides["variant"] = args.variant
-        if args.variant != search_cfg.variant and "population_size" not in overrides:
-            overrides["population_size"] = None  # re-resolve the variant default
+        if data.get("search", {}).get("population_size") is None:
+            overrides["population_size"] = None  # the variant's default
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.budget_evals is not None:
@@ -116,10 +102,8 @@ def _cmd_run(args) -> int:
     if args.sut:
         sut = SutDescriptor(kind="external", command=args.sut, timeout=sut.timeout)
 
-    if sut.kind == "external":
-        evaluator_for = lambda: _external_evaluator(road_params, sut)
-    else:
-        evaluator_for = lambda: builtin_evaluator(road_params, vparams)
+    drive = _driver(sut, vparams)
+    evaluator = lambda ind: evaluate(ind, road_params, drive)
     validity = lambda cps: validate(build_road(cps, road_params)).valid
     phenotype = lambda cps: build_road(cps, road_params).centerline
 
@@ -129,7 +113,7 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(search_cfg, seed=search_cfg.seed + i)
         log.info("run %d/%d: variant %s seed %d", i + 1, args.runs,
                  cfg.variant, cfg.seed)
-        report = run_search(cfg, evaluator_for(), validity=validity,
+        report = run_search(cfg, evaluator, validity=validity,
                             phenotype=phenotype,
                             reporter=lambda ev: log.debug("event %s", ev))
         write_report(report, out, road_params=road_params, vparams=vparams,
@@ -151,25 +135,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    archive = load_archive(args.archive)
-    road_params, vparams, sut = _archive_params(archive)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for rec in archive["records"]:
-        if rec["verdict"] != "FAIL":
-            continue
-        cps = ControlPointSet(np.asarray(rec["genotype"], dtype=float),
-                              road_params.map_size)
-        road = build_road(cps, road_params)
-        result = None
-        if sut.kind == "builtin":
-            result = run_test(road, vparams, dt=archive.get("dt", DT),
-                              max_time=archive.get("max_time", MAX_TIME))
-        render_test_svg(road, result, out / f"fail_{rec['id']:04d}.svg",
-                        title=f"test {rec['id']}: fitness {rec['fitness']:.1f}")
-        count += 1
-    print(f"rendered {count} failing test(s) to {out}")
+    paths = render_failures(load_archive(args.archive), args.out)
+    print(f"rendered {len(paths)} failing test(s) to {args.out}")
     return 0
 
 

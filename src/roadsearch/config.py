@@ -17,7 +17,8 @@ from .search import SearchConfig
 from .simulator import VehicleParams
 from .protocol import SutDescriptor
 
-__all__ = ["ConfigError", "parse_config", "parse_config_dict", "serialize_config"]
+__all__ = ["ConfigError", "parse_config", "parse_config_dict", "read_config",
+           "serialize_config"]
 
 _SECTIONS = {
     "search": SearchConfig,
@@ -70,21 +71,24 @@ def parse_config_dict(data: dict):
     return (parsed["search"], parsed["road"], parsed["vehicle"], parsed["sut"])
 
 
-def parse_config(path):
-    """Load and validate a JSON config file."""
+def read_config(path) -> dict:
+    """Read a JSON config file, unvalidated; an empty file reads as {}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not text.strip():
-        data = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config_dict(data)
+        return {}
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def parse_config(path):
+    """Load and validate a JSON config file."""
+    return parse_config_dict(read_config(path))
 
 
 def serialize_config(search: SearchConfig, road: RoadParams,

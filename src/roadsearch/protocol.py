@@ -25,8 +25,10 @@ import numpy as np
 
 from .road import RoadSpec, road_from_dict, road_to_dict
 from .simulator import (
+    DT,
     FAIL,
     INVALID,
+    MAX_TIME,
     PASS,
     TestResult,
     VehicleParams,
@@ -81,7 +83,8 @@ def parse_reply(line: str) -> TestResult:
     if verdict not in (PASS, FAIL, INVALID):
         raise ValueError(f"bad verdict {verdict!r}")
     max_oob = data.get("max_oob")
-    if not isinstance(max_oob, (int, float)) or not 0.0 <= max_oob <= 100.0:
+    if (isinstance(max_oob, bool) or not isinstance(max_oob, (int, float))
+            or not 0.0 <= max_oob <= 100.0):
         raise ValueError(f"bad max_oob {max_oob!r}")
     trajectory = []
     if "trajectory" in data and data["trajectory"] is not None:
@@ -136,7 +139,7 @@ def result_to_reply(result: TestResult, with_trajectory: bool = False) -> str:
 
 
 def serve_builtin(stdin=None, stdout=None, vparams: VehicleParams | None = None,
-                  dt: float = 0.05, max_time: float = 120.0,
+                  dt: float = DT, max_time: float = MAX_TIME,
                   with_trajectory: bool = False):
     """Serve the built-in simulator over the line protocol until EOF."""
     stdin = stdin or sys.stdin
@@ -162,11 +165,12 @@ def main(argv=None) -> int:
         prog="python -m roadsearch.protocol",
         description="Serve the built-in simulator behind the line protocol.",
     )
-    parser.add_argument("--speed", type=float, default=12.0)
-    parser.add_argument("--lookahead", type=float, default=8.0)
-    parser.add_argument("--max-steer", type=float, default=0.6)
-    parser.add_argument("--dt", type=float, default=0.05)
-    parser.add_argument("--max-time", type=float, default=120.0)
+    defaults = VehicleParams()
+    parser.add_argument("--speed", type=float, default=defaults.speed)
+    parser.add_argument("--lookahead", type=float, default=defaults.lookahead)
+    parser.add_argument("--max-steer", type=float, default=defaults.max_steer)
+    parser.add_argument("--dt", type=float, default=DT)
+    parser.add_argument("--max-time", type=float, default=MAX_TIME)
     parser.add_argument("--trajectory", action="store_true",
                         help="include the driven trajectory in replies")
     args = parser.parse_args(argv)

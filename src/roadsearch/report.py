@@ -6,9 +6,9 @@ T/P/I/F counts and the Frechet-distance aggregates over the failing
 tests, and one SVG per failing test showing the road and the driven
 trajectory colored by out-of-bounds percentage.
 
-``replay`` rebuilds a road from an archived genotype and re-runs the
-built-in simulator, raising :class:`ReplayDivergence` if the stored
-verdict no longer reproduces (nondeterminism or version skew).
+``replay`` rebuilds a road from an archived genotype and judges it
+again with the archive's SUT, raising :class:`ReplayDivergence` if the
+stored verdict no longer reproduces (nondeterminism or version skew).
 """
 from __future__ import annotations
 
@@ -16,21 +16,11 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .geometry import ControlPointSet
-from .road import RoadParams, RoadSpec, build_road, validate
-from .search import RunReport
-from .simulator import (
-    DT,
-    FAIL,
-    MAX_TIME,
-    TestResult,
-    VehicleParams,
-    invalid_result,
-    run_test,
-)
+from .road import RoadParams, RoadSpec, build_road
+from .search import RunReport, builtin_driver, judge
+from .simulator import DT, FAIL, MAX_TIME, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
 from .config import serialize_config
 
@@ -42,6 +32,7 @@ __all__ = [
     "summary_row",
     "load_archive",
     "replay",
+    "render_failures",
     "render_test_svg",
 ]
 
@@ -71,7 +62,6 @@ def archive_to_dict(report: RunReport, road_params: RoadParams,
         "config": cfg,
         "dt": dt,
         "max_time": max_time,
-        "parallel": report.parallel,
         "records": [
             {
                 "id": r.id,
@@ -117,9 +107,8 @@ def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
                  dt: float = DT, max_time: float = MAX_TIME, run_id=1) -> dict:
     """Emit archive + summary + failure SVGs for one run.
 
-    Returns a dict of the written paths. Trajectories in the SVGs are
-    re-simulated with the built-in SUT; for external-SUT archives only
-    the road geometry is drawn.
+    Returns a dict of the written paths; the SVGs are those of
+    :func:`render_failures`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,19 +124,7 @@ def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
     write_summary_csv([summary_row(report, run_id)], summary_path)
     paths["summary"] = summary_path
 
-    svg_paths = []
-    for rec in report.records:
-        if rec.verdict != FAIL:
-            continue
-        road = build_road(rec.genotype, road_params)
-        result = None
-        if sut.kind == "builtin":
-            result = run_test(road, vparams, dt=dt, max_time=max_time)
-        svg_path = out / f"run{run_id:02d}_fail_{rec.id:04d}.svg"
-        render_test_svg(road, result, svg_path,
-                        title=f"test {rec.id}: fitness {rec.fitness:.1f}")
-        svg_paths.append(svg_path)
-    paths["svgs"] = svg_paths
+    paths["svgs"] = render_failures(archive, out, prefix=f"run{run_id:02d}_")
     return paths
 
 
@@ -165,7 +142,13 @@ def _archive_params(archive: dict):
     road_params = RoadParams(**cfg["road"])
     vparams = VehicleParams(**cfg["vehicle"])
     sut = SutDescriptor(**cfg["sut"])
-    return road_params, vparams, sut
+    timing = {"dt": archive.get("dt", DT), "max_time": archive.get("max_time", MAX_TIME)}
+    return road_params, vparams, sut, timing
+
+
+def _record_road(record: dict, road_params: RoadParams) -> RoadSpec:
+    return build_road(ControlPointSet(record["genotype"], road_params.map_size),
+                      road_params)
 
 
 def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
@@ -177,7 +160,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     """
     if not isinstance(archive, dict):
         archive = load_archive(archive)
-    road_params, vparams, sut = _archive_params(archive)
+    road_params, vparams, sut, timing = _archive_params(archive)
     record = next((r for r in archive["records"] if r["id"] == test_id), None)
     if record is None:
         raise ValueError(f"archive has no test {test_id}")
@@ -190,24 +173,39 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
         if sut_command != sut.command:
             raise ValueError(
                 f"SUT command mismatch: archive used {sut.command!r}")
-
-    cps = ControlPointSet(np.asarray(record["genotype"], dtype=float),
-                          road_params.map_size)
-    road = build_road(cps, road_params)
-    report = validate(road)
-    if not report.valid:
-        result = invalid_result()
-    elif sut.kind == "external":
-        result = external_evaluate(road, sut)
+        drive = lambda road: external_evaluate(road, sut)
     else:
-        result = run_test(road, vparams, dt=archive.get("dt", DT),
-                          max_time=archive.get("max_time", MAX_TIME))
+        drive = builtin_driver(vparams, **timing)
+    result = judge(_record_road(record, road_params), drive)
 
     stored = (record["verdict"], float(record["fitness"]))
     fresh = (result.verdict, result.max_oob)
     if stored[0] != fresh[0] or abs(stored[1] - fresh[1]) > 1e-9:
         raise ReplayDivergence(test_id, stored, fresh)
     return result
+
+
+def render_failures(archive: dict, out_dir, prefix: str = "") -> list:
+    """Draw one SVG per FAIL record of an archive dict, named
+    ``<prefix>fail_<id>.svg``, and return their paths.
+
+    Trajectories are re-simulated with the built-in SUT; for
+    external-SUT archives only the road geometry is drawn.
+    """
+    road_params, vparams, sut, timing = _archive_params(archive)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for rec in archive["records"]:
+        if rec["verdict"] != FAIL:
+            continue
+        road = _record_road(rec, road_params)
+        result = run_test(road, vparams, **timing) if sut.kind == "builtin" else None
+        path = out / f"{prefix}fail_{rec['id']:04d}.svg"
+        render_test_svg(road, result, path,
+                        title=f"test {rec['id']}: fitness {rec['fitness']:.1f}")
+        paths.append(path)
+    return paths
 
 
 def _oob_color(oob: float) -> str:

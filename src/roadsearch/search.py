@@ -18,18 +18,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .geometry import ControlPointSet, discrete_frechet
-from .road import RoadParams, build_road, validate
+from .road import RoadParams, RoadSpec, build_road, validate
 from .simulator import (
     DT,
     FAIL,
     INVALID,
     MAX_TIME,
     PASS,
+    TestResult,
     VehicleParams,
+    invalid_result,
     run_test,
 )
 
@@ -41,8 +44,10 @@ __all__ = [
     "RunReport",
     "random_individual",
     "guided_seed_individual",
+    "Driver",
+    "builtin_driver",
+    "judge",
     "evaluate",
-    "builtin_evaluator",
     "select",
     "crossover",
     "mutate",
@@ -57,6 +62,9 @@ RESTART_VARIANTS = ("B", "C")
 
 # chance that a validity-guided reseed admits an invalid candidate anyway
 INVALID_SEED_ACCEPT_PROB = 0.25
+
+# drives one valid road through a system under test and returns its verdict
+Driver = Callable[[RoadSpec], TestResult]
 
 
 @dataclass
@@ -145,15 +153,15 @@ class RunReport:
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
-    parallel: bool = False
 
 
 class FailureArchive:
-    """Failing individuals plus a cache of their pairwise Frechet distances."""
+    """Failing individuals plus their pairwise Frechet matrix, computed
+    once and kept until the next :meth:`add`."""
 
     def __init__(self):
         self.failures: list[Individual] = []
-        self._cache: dict[tuple[int, int], float] = {}
+        self._matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.failures)
@@ -162,24 +170,18 @@ class FailureArchive:
         if ind.verdict != FAIL:
             raise ValueError("archive only holds failing individuals")
         self.failures.append(ind)
+        self._matrix = None
 
     def pairwise(self) -> np.ndarray:
-        n = len(self.failures)
-        mat = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in self._cache:
-                    a, b = self.failures[i].centerline, self.failures[j].centerline
-                    self._cache[(i, j)] = discrete_frechet(a, b)
-                mat[i, j] = mat[j, i] = self._cache[(i, j)]
-        return mat
+        if self._matrix is None:
+            self._matrix = _pairwise_frechet([f.centerline for f in self.failures])
+        return self._matrix
 
     def avg_frechet(self) -> float | None:
         n = len(self.failures)
         if n < 2 or any(f.centerline is None for f in self.failures):
             return None
-        mat = self.pairwise()
-        return float(mat[np.triu_indices(n, k=1)].mean())
+        return _mean_upper(self.pairwise())
 
     def max_frechet(self) -> float | None:
         n = len(self.failures)
@@ -212,9 +214,28 @@ def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
             return ind
 
 
-def evaluate(ind: Individual, road_params: RoadParams, vparams: VehicleParams,
-             dt: float = DT, max_time: float = MAX_TIME) -> Individual:
-    """Build, validate and (if valid) simulate one individual.
+def builtin_driver(vparams: VehicleParams, dt: float = DT,
+                   max_time: float = MAX_TIME) -> Driver:
+    """Driver over the built-in simulator. A road the simulator cannot
+    drive (it raises ValueError) comes back INVALID with the message as
+    its ``error``."""
+    def drive(road: RoadSpec) -> TestResult:
+        try:
+            return run_test(road, vparams, dt=dt, max_time=max_time)
+        except ValueError as exc:
+            return invalid_result(str(exc))
+    return drive
+
+
+def judge(road: RoadSpec, drive: Driver) -> TestResult:
+    """Validate the road and drive it only if it is valid."""
+    if not validate(road).valid:
+        return invalid_result()
+    return drive(road)
+
+
+def evaluate(ind: Individual, road_params: RoadParams, drive: Driver) -> Individual:
+    """Build and judge one individual.
 
     Invalid roads get verdict INVALID and fitness 0 without being driven;
     valid roads get fitness = max out-of-bounds percentage.
@@ -223,25 +244,9 @@ def evaluate(ind: Individual, road_params: RoadParams, vparams: VehicleParams,
         raise ValueError("individual already evaluated")
     road = build_road(ind.genotype, road_params)
     ind.centerline = road.centerline
-    report = validate(road)
-    if not report.valid:
-        ind.verdict, ind.fitness = INVALID, 0.0
-        return ind
-    try:
-        result = run_test(road, vparams, dt=dt, max_time=max_time)
-    except ValueError as exc:
-        ind.verdict, ind.fitness, ind.error = INVALID, 0.0, str(exc)
-        return ind
-    ind.verdict, ind.fitness = result.verdict, result.max_oob
+    result = judge(road, drive)
+    ind.verdict, ind.fitness, ind.error = result.verdict, result.max_oob, result.error
     return ind
-
-
-def builtin_evaluator(road_params: RoadParams, vparams: VehicleParams,
-                      dt: float = DT, max_time: float = MAX_TIME):
-    """Evaluator closure over the built-in simulator for :func:`run_search`."""
-    def _eval(ind: Individual) -> Individual:
-        return evaluate(ind, road_params, vparams, dt=dt, max_time=max_time)
-    return _eval
 
 
 def select(pop: list, rng, config: SearchConfig) -> Individual:
@@ -298,14 +303,16 @@ def _pairwise_frechet(curves) -> np.ndarray:
     return mat
 
 
+def _mean_upper(mat: np.ndarray) -> float:
+    return float(mat[np.triu_indices(len(mat), k=1)].mean())
+
+
 def population_avg_frechet(curves) -> float | None:
     """Mean pairwise Frechet distance over the given centerlines; None
     ("n/a") with fewer than two of them."""
-    n = len(curves)
-    if n < 2:
+    if len(curves) < 2:
         return None
-    mat = _pairwise_frechet(curves)
-    return float(mat[np.triu_indices(n, k=1)].mean())
+    return _mean_upper(_pairwise_frechet(curves))
 
 
 def novelty_accept(candidate, curves) -> bool:

@@ -25,7 +25,8 @@ from roadsearch.search import (
     RunReport,
     SearchConfig,
     TestRecord,
-    builtin_evaluator,
+    builtin_driver,
+    evaluate,
     random_individual,
     run_search,
 )
@@ -52,14 +53,15 @@ def report_line(num, text):
 @pytest.fixture(scope="module")
 def desk_runs():
     validity = lambda cps: validate(build_road(cps, ROAD_PARAMS)).valid
+    drive = builtin_driver(VEHICLE_25, max_time=MAX_TIME)
+    evaluator = lambda ind: evaluate(ind, ROAD_PARAMS, drive)
     runs = {}
     t0 = time.perf_counter()
     for variant in "ABC":
         for seed in SEEDS:
             cfg = SearchConfig(variant=variant, max_evaluations=300, seed=seed)
             runs[variant, seed] = run_search(
-                cfg, builtin_evaluator(ROAD_PARAMS, VEHICLE_25, max_time=MAX_TIME),
-                validity=validity)
+                cfg, evaluator, validity=validity)
     return runs, time.perf_counter() - t0
 
 

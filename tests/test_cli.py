@@ -55,6 +55,17 @@ class TestRun:
         assert archive["config"]["search"]["max_evaluations"] == 16
         assert archive["config"]["vehicle"]["speed"] == 25.0
 
+        # a size the file sets survives --variant; only a missing one
+        # takes the variant's default
+        sized = tmp_path / "sized.json"
+        sized.write_text(json.dumps({"search": {"population_size": 40}}))
+        code = main(["run", "--config", str(sized), "--variant", "C",
+                     "--budget-evals", "4", "--out", str(tmp_path / "sized")])
+        assert code == 0
+        archive = json.load(open(tmp_path / "sized" / "run01.json"))
+        assert archive["config"]["search"]["variant"] == "C"
+        assert archive["config"]["search"]["population_size"] == 40
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"search": {"mutation_prob": 7}}))
@@ -98,16 +109,26 @@ class TestReplayCommand:
 class TestRenderCommand:
     def test_render_failures(self, tmp_path, capsys):
         out = tmp_path / "out"
-        # speed 25 via config so some failures are likely at this budget
+        # speed 25 via config; seed 5 fails tests 7 and 9 at this budget
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"vehicle": {"speed": 25.0}}))
-        main(["run", "--config", str(cfg), "--variant", "B", "--seed", "1",
+        main(["run", "--config", str(cfg), "--variant", "B", "--seed", "5",
               "--budget-evals", "40", "--out", str(out)])
         svg_out = tmp_path / "svgs"
+        capsys.readouterr()
         code = main(["render", "--archive", str(out / "run01.json"),
                      "--out", str(svg_out)])
         assert code == 0
-        assert svg_out.exists()
+        archive = json.load(open(out / "run01.json"))
+        fails = [r["id"] for r in archive["records"] if r["verdict"] == "FAIL"]
+        assert fails
+        assert f"rendered {len(fails)} failing test(s)" in capsys.readouterr().out
+        # render redraws exactly the SVGs the run wrote, byte for byte
+        names = sorted(p.name for p in svg_out.iterdir())
+        assert names == [f"fail_{i:04d}.svg" for i in fails]
+        for name in names:
+            assert (svg_out / name).read_bytes() == \
+                (out / f"run01_{name}").read_bytes()
 
 
 class TestEntryPoint:

@@ -62,6 +62,7 @@ class TestReplyParsing:
         '{"verdict": "PASS", "max_oob": 150}',
         '{"verdict": "PASS", "max_oob": "high"}',
         '{"verdict": "PASS"}',
+        '{"verdict": "FAIL", "max_oob": true}',
         '[1, 2, 3]',
         'not json at all',
     ])
@@ -141,19 +142,22 @@ class TestRunLevelEquivalence:
     def test_whole_run_identical_through_protocol(self):
         # a search driven through the wrapped built-in SUT must reproduce
         # the direct in-process run record for record
-        from roadsearch.cli import _external_evaluator
-        from roadsearch.search import SearchConfig, builtin_evaluator, run_search
+        from roadsearch.cli import _driver
+        from roadsearch.search import SearchConfig, builtin_driver, evaluate, run_search
 
         rp = RoadParams()
         vp = VehicleParams(speed=25.0)
         cfg = SearchConfig(variant="B", max_evaluations=12, seed=4)
-        direct = run_search(cfg, builtin_evaluator(rp, vp, max_time=45.0))
+        drive = builtin_driver(vp, max_time=45.0)
+        direct = run_search(cfg, lambda ind: evaluate(ind, rp, drive))
 
+        # the external driver exactly as `roadsearch run --sut` builds it
         sut = SutDescriptor(
             kind="external",
             command=f"{PY} -m roadsearch.protocol --speed 25 --max-time 45",
             timeout=120.0)
-        wrapped = run_search(cfg, _external_evaluator(rp, sut))
+        external = _driver(sut, vp)
+        wrapped = run_search(cfg, lambda ind: evaluate(ind, rp, external))
 
         assert [e["kind"] for e in direct.events] == \
                [e["kind"] for e in wrapped.events]

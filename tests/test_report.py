@@ -23,7 +23,8 @@ from roadsearch.search import (
     RunReport,
     SearchConfig,
     TestRecord,
-    builtin_evaluator,
+    builtin_driver,
+    evaluate,
     run_search,
 )
 from roadsearch.simulator import VehicleParams
@@ -125,7 +126,8 @@ class TestWriteReport:
 @pytest.fixture(scope="module")
 def real_run(tmp_path_factory):
     cfg = SearchConfig(variant="A", max_evaluations=40, seed=6)
-    report = run_search(cfg, builtin_evaluator(RP, VP, max_time=45.0))
+    drive = builtin_driver(VP, max_time=45.0)
+    report = run_search(cfg, lambda ind: evaluate(ind, RP, drive))
     out = tmp_path_factory.mktemp("run")
     paths = write_report(report, out, road_params=RP, vparams=VP, sut=BUILTIN,
                          dt=0.05, max_time=45.0)
@@ -155,6 +157,19 @@ class TestReplay:
                      for i in range(len(curves)) for j in range(i + 1, len(curves))]
             assert np.mean(dists) == pytest.approx(agg["avg_frechet_failures"], abs=1e-6)
             assert np.max(dists) == pytest.approx(agg["max_frechet_failures"], abs=1e-6)
+
+    def test_archive_with_parallel_key_replays(self, real_run, tmp_path):
+        # archives written before the always-false "parallel" key was
+        # dropped still load and replay
+        _, paths = real_run
+        archive = load_archive(paths["archive"])
+        assert "parallel" not in archive
+        archive["parallel"] = False
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(archive))
+        archive = load_archive(old)
+        for rec in archive["records"][:3]:
+            assert replay(archive, rec["id"]).verdict == rec["verdict"]
 
     def test_tampered_record_diverges(self, tmp_path):
         # archive a straight road with a blatantly wrong stored fitness

@@ -11,7 +11,7 @@ from roadsearch.search import (
     FailureArchive,
     Individual,
     SearchConfig,
-    builtin_evaluator,
+    builtin_driver,
     crossover,
     evaluate,
     guided_seed_individual,
@@ -120,7 +120,7 @@ class TestEvaluate:
     def test_collinear_road_passes_with_zero(self):
         pts = np.column_stack([np.linspace(10, 190, 7), np.full(7, 100.0)])
         ind = make_ind(pts)
-        evaluate(ind, RoadParams(), VehicleParams())
+        evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
         assert ind.verdict == PASS
         assert ind.fitness == 0.0
         assert ind.centerline is not None
@@ -128,20 +128,33 @@ class TestEvaluate:
     def test_self_crossing_polygon_invalid(self):
         pts = [[40, 40], [180, 180], [180, 40], [40, 180], [40, 100], [120, 100], [150, 100]]
         ind = make_ind(pts)
-        evaluate(ind, RoadParams(), VehicleParams())
+        evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
         assert ind.verdict == INVALID
         assert ind.fitness == 0.0
 
     def test_wiggly_road_nonzero_fitness_at_speed(self):
         ind = make_ind(WIGGLY_POINTS)
-        evaluate(ind, RoadParams(), VehicleParams(speed=25.0))
+        evaluate(ind, RoadParams(), builtin_driver(VehicleParams(speed=25.0)))
         assert ind.verdict in (PASS, FAIL)
         assert ind.fitness > 0.0
+
+    def test_invalid_road_not_driven(self):
+        pts = [[40, 40], [180, 180], [180, 40], [40, 180], [40, 100], [120, 100], [150, 100]]
+        driven = []
+        ind = make_ind(pts)
+        evaluate(ind, RoadParams(), driven.append)
+        assert ind.verdict == INVALID and driven == []
+
+    def test_undrivable_road_invalid_with_message(self):
+        ind = make_ind(WIGGLY_POINTS)
+        evaluate(ind, RoadParams(), builtin_driver(VehicleParams(), dt=-0.05))
+        assert ind.verdict == INVALID and ind.fitness == 0.0
+        assert ind.error == "dt must be positive"
 
     def test_double_evaluate_rejected(self):
         ind = make_ind(WIGGLY_POINTS, fitness=1.0, verdict=PASS)
         with pytest.raises(ValueError):
-            evaluate(ind, RoadParams(), VehicleParams())
+            evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
 
 
 class TestSelect:
@@ -317,6 +330,17 @@ class TestFailureArchive:
         assert arch.avg_frechet() == pytest.approx(3.0)
         assert arch.max_frechet() == pytest.approx(3.0)
 
+    def test_matrix_refreshed_after_add(self):
+        arch = FailureArchive()
+        for x in (0.0, 3.0, 10.0):
+            ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
+            ind.centerline = np.array([[x, 0.0], [x + 1.0, 0.0]])
+            arch.add(ind)
+            if x == 3.0:
+                assert arch.max_frechet() == pytest.approx(3.0)
+        assert arch.pairwise().shape == (3, 3)
+        assert arch.max_frechet() == pytest.approx(10.0)
+
     def test_na_below_two(self):
         arch = FailureArchive()
         assert arch.avg_frechet() is None
@@ -447,10 +471,10 @@ class TestRunSearch:
 
     def test_reproducible_with_builtin_evaluator(self):
         cfg = SearchConfig(variant="B", max_evaluations=30, seed=8)
-        ev = lambda: builtin_evaluator(RoadParams(), VehicleParams(speed=25.0),
-                                       max_time=45.0)
-        r1 = run_search(cfg, ev())
-        r2 = run_search(cfg, ev())
+        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        ev = lambda ind: evaluate(ind, RoadParams(), drive)
+        r1 = run_search(cfg, ev)
+        r2 = run_search(cfg, ev)
         assert [e["kind"] for e in r1.events] == [e["kind"] for e in r2.events]
         assert [(r.verdict, r.fitness) for r in r1.records] == \
                [(r.verdict, r.fitness) for r in r2.records]
