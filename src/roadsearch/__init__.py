@@ -15,7 +15,6 @@ from .geometry import (
     frechet_bruteforce,
     min_curvature_radius,
     sample_bezier,
-    self_intersects,
 )
 from .road import RoadParams, RoadSpec, ValidityReport, build_road, validate
 from .simulator import (

@@ -1,5 +1,5 @@
 """Planar geometry kernel: Bezier curves, discrete Frechet distance,
-polyline self-intersection and curvature-radius estimation.
+segment-to-segment distances and curvature-radius estimation.
 
 Points are float arrays of shape (2,), polylines arrays of shape (n, 2),
 all in meters. Every function is pure: no hidden state, safe to call
@@ -17,12 +17,9 @@ __all__ = [
     "sample_bezier",
     "discrete_frechet",
     "frechet_bruteforce",
-    "self_intersects",
     "segment_self_distances",
     "min_curvature_radius",
     "polyline_lengths",
-    "convex_clip_area",
-    "polygon_area",
 ]
 
 BRUTEFORCE_CELL_LIMIT = 64
@@ -219,8 +216,8 @@ def segment_self_distances(p) -> np.ndarray:
     """All-pairs distance matrix between the segments of a polyline.
 
     Entry (i, j) is the minimum distance between segment i and segment j;
-    properly crossing pairs get exactly 0. Shared machinery for the
-    self-intersection and fold-back checks.
+    properly crossing pairs get exactly 0. Used by the road validator's
+    fold-back check.
     """
     p = _as_polyline(p, 2)
     a, b = p[:-1], p[1:]
@@ -243,23 +240,6 @@ def segment_self_distances(p) -> np.ndarray:
     return dist
 
 
-def self_intersects(p, buffer: float) -> bool:
-    """True iff two non-adjacent segments of ``p`` cross or come within
-    ``buffer`` of each other. Adjacent segments (sharing an endpoint) are
-    exempt.
-    """
-    if buffer < 0:
-        raise ValueError("buffer must be >= 0")
-    p = _as_polyline(p, 2)
-    m = len(p) - 1
-    if m < 3:
-        return False
-    dist = segment_self_distances(p)
-    nonadjacent = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :]) >= 2
-    hits = nonadjacent & ((dist < buffer) | (dist == 0.0))
-    return bool(hits.any())
-
-
 def min_curvature_radius(p) -> float:
     """Minimum circumradius over all consecutive point triples.
 
@@ -278,52 +258,3 @@ def min_curvature_radius(p) -> float:
     with np.errstate(divide="ignore"):
         radii = np.where(cross > 0.0, ab * bc * ca / (2.0 * cross), np.inf)
     return float(radii.min())
-
-
-def polygon_area(poly) -> float:
-    """Unsigned shoelace area of a polygon given as vertex list/array."""
-    if len(poly) < 3:
-        return 0.0
-    arr = np.asarray(poly, dtype=float)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def convex_clip_area(subject, clipper) -> float:
-    """Area of ``subject`` polygon clipped to a convex ``clipper`` polygon.
-
-    Sutherland-Hodgman against each clipper edge; the clipper must be
-    convex (any vertex order), the subject simple. Used for footprint
-    vs. lane-strip overlap.
-    """
-    clip = [tuple(v) for v in np.asarray(clipper, dtype=float)]
-    if polygon_area(clip) == 0.0:
-        return 0.0
-    # orient the clipper counter-clockwise so "inside" is left of each edge
-    arr = np.asarray(clip)
-    signed = 0.5 * float(
-        np.dot(arr[:, 0], np.roll(arr[:, 1], -1)) - np.dot(arr[:, 1], np.roll(arr[:, 0], -1))
-    )
-    if signed < 0:
-        clip = clip[::-1]
-    poly = [tuple(v) for v in np.asarray(subject, dtype=float)]
-    nclip = len(clip)
-    for e in range(nclip):
-        if len(poly) < 3:
-            return 0.0
-        ex, ey = clip[e]
-        nx = -(clip[(e + 1) % nclip][1] - ey)
-        ny = clip[(e + 1) % nclip][0] - ex
-        out = []
-        px, py = poly[-1]
-        dprev = (px - ex) * nx + (py - ey) * ny
-        for cx, cy in poly:
-            d = (cx - ex) * nx + (cy - ey) * ny
-            if (d >= 0.0) != (dprev >= 0.0):
-                t = dprev / (dprev - d)
-                out.append((px + t * (cx - px), py + t * (cy - py)))
-            if d >= 0.0:
-                out.append((cx, cy))
-            px, py, dprev = cx, cy, d
-        poly = out
-    return polygon_area(poly)

@@ -16,6 +16,7 @@ reference for writing real SUT adapters).
 from __future__ import annotations
 
 import json
+import logging
 import shlex
 import subprocess
 import sys
@@ -53,6 +54,11 @@ ERR_PROTOCOL = "protocol-error"
 
 BUILTIN = "builtin"
 EXTERNAL = "external"
+
+# stderr lines of a misbehaving SUT that go into the warning
+STDERR_TAIL_LINES = 5
+
+log = logging.getLogger("roadsearch")
 
 
 @dataclass
@@ -103,7 +109,10 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
     """Hand one road to the external SUT and read its verdict.
 
     Any spawn/timeout/protocol problem returns an INVALID result carrying
-    the error tag rather than raising, so the caller's run continues.
+    the error tag rather than raising, so the caller's run continues. A
+    nonzero exit status or a malformed reply is logged as a warning with
+    the status and the tail of the child's stderr; the verdict is still
+    the reply's.
     """
     if sut.kind != EXTERNAL:
         raise ValueError("external_evaluate needs an external SutDescriptor")
@@ -121,10 +130,17 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
     except subprocess.TimeoutExpired:
         return invalid_result(ERR_TIMEOUT)
     reply = next((ln for ln in proc.stdout.splitlines() if ln.strip()), "")
+    problem = None
     try:
-        return parse_reply(reply)
-    except (ValueError, TypeError):
-        return invalid_result(ERR_PROTOCOL)
+        result = parse_reply(reply)
+    except (ValueError, TypeError) as exc:
+        result, problem = invalid_result(ERR_PROTOCOL), f"malformed reply: {exc}"
+    if problem or proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-STDERR_TAIL_LINES:]
+        log.warning("SUT %r exited with status %d (%s); stderr tail: %s",
+                    sut.command, proc.returncode, problem or "reply accepted",
+                    " | ".join(tail) or "(empty)")
+    return result
 
 
 def result_to_reply(result: TestResult, with_trajectory: bool = False) -> str:

@@ -315,15 +315,18 @@ def population_avg_frechet(curves) -> float | None:
     return _mean_upper(_pairwise_frechet(curves))
 
 
-def novelty_accept(candidate, curves) -> bool:
+def novelty_accept(candidate, curves, mat: np.ndarray) -> bool:
     """Would swapping the candidate in for its most-similar population
-    member strictly raise the population's average Frechet distance?"""
+    member strictly raise the population's average Frechet distance?
+
+    ``mat`` holds the Frechet distances between the ``curves``
+    (``mat[i, j]`` for curves i and j), computed once per population; only
+    the candidate's n distances are computed here."""
     n = len(curves)
     if n < 2:
         return True
     d = np.array([discrete_frechet(candidate, c) for c in curves])
     j = int(np.argmin(d))
-    mat = _pairwise_frechet(curves)
     pairs = n * (n - 1) / 2
     old_sum = mat[np.triu_indices(n, k=1)].sum()
     new_sum = old_sum - mat[j].sum() + (d.sum() - d[j])
@@ -403,17 +406,6 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
             return guided_seed_individual(rng, config, validity)
         return random_individual(rng, config)
 
-    def admit_offspring(child: Individual, parent: Individual, pop: list) -> Individual:
-        if not config.novelty_filter:
-            return child
-        curve = phenotype(child.genotype)
-        child.centerline = curve
-        curves = [p.centerline if p.centerline is not None else phenotype(p.genotype)
-                  for p in pop]
-        if novelty_accept(curve, curves):
-            return child
-        return _copy_evaluated(parent)  # admission denied: the slot keeps the parent
-
     epoch = 0
     pop: list[Individual] = []
     need_seed = True
@@ -447,6 +439,12 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         gen_index += 1
         emit("GENERATION", epoch=epoch, index=gen_index)
         offspring: list[Individual] = []
+        if config.novelty_filter:
+            # pop stays fixed until the generation ends, so its curves and
+            # their matrix serve every offspring's novelty check
+            curves = [p.centerline if p.centerline is not None else phenotype(p.genotype)
+                      for p in pop]
+            mat = _pairwise_frechet(curves)
         while len(offspring) < config.population_size:
             p1 = select(pop, rng, config)
             p2 = select(pop, rng, config)
@@ -455,7 +453,11 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
                 if len(offspring) >= config.population_size:
                     break
                 child = mutate(child, rng, config)
-                offspring.append(admit_offspring(child, parent, pop))
+                if config.novelty_filter:
+                    child.centerline = phenotype(child.genotype)
+                    if not novelty_accept(child.centerline, curves, mat):
+                        child = _copy_evaluated(parent)  # denied: the slot keeps the parent
+                offspring.append(child)
 
         new_pop: list[Individual] = []
         reseed = False

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from roadsearch.geometry import (
     ControlPointSet,
     bezier_point,
-    convex_clip_area,
     discrete_frechet,
     frechet_bruteforce,
     min_curvature_radius,
-    polygon_area,
     polyline_lengths,
     sample_bezier,
-    self_intersects,
 )
+
+from geometry_oracles import convex_clip_area, polygon_area, self_intersects
 
 
 def cps(points, map_size=200.0):

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import sys
 
 import numpy as np
@@ -117,6 +118,31 @@ class TestExternalEvaluate:
                             timeout=60.0)
         r = external_evaluate(road, sut)
         assert r.verdict == INVALID and r.error == ERR_PROTOCOL
+
+    def test_failing_child_logged_with_status_and_stderr(self, caplog):
+        sut = SutDescriptor(
+            kind="external",
+            command=f"{PY} -c 'import sys; sys.stderr.write(\"boom\\n\"); sys.exit(3)'",
+            timeout=60.0)
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            r = external_evaluate(valid_road(), sut)
+        assert r.verdict == INVALID and r.error == ERR_PROTOCOL
+        warnings = [rec for rec in caplog.records
+                    if rec.name == "roadsearch" and rec.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "status 3" in message and "boom" in message
+
+    def test_nonzero_exit_keeps_a_wellformed_verdict(self, caplog, tmp_path):
+        script = tmp_path / "sut.py"
+        script.write_text('import sys\n'
+                          'print(\'{"verdict": "PASS", "max_oob": 1.5}\')\n'
+                          'sys.exit(2)\n')
+        sut = SutDescriptor(kind="external", command=f"{PY} {script}", timeout=60.0)
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            r = external_evaluate(valid_road(), sut)
+        assert r.verdict == "PASS" and r.max_oob == 1.5 and r.error is None
+        assert any("status 2" in rec.getMessage() for rec in caplog.records)
 
     def test_timeout_flagged(self):
         road = valid_road()

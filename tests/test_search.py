@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roadsearch import search
 from roadsearch.geometry import ControlPointSet
 from roadsearch.road import RoadParams
 from roadsearch.search import (
@@ -16,6 +17,7 @@ from roadsearch.search import (
     evaluate,
     guided_seed_individual,
     mutate,
+    _pairwise_frechet,
     novelty_accept,
     population_avg_frechet,
     random_individual,
@@ -288,23 +290,38 @@ class TestPopulationAvgFrechet:
         assert population_avg_frechet([a, b, c]) == pytest.approx(4.0)
 
 
+def novelty_accept_from_scratch(candidate, curves) -> bool:
+    """Reference novelty rule that rebuilds the population's whole
+    Frechet matrix on every call."""
+    n = len(curves)
+    if n < 2:
+        return True
+    d = np.array([search.discrete_frechet(candidate, c) for c in curves])
+    j = int(np.argmin(d))
+    mat = _pairwise_frechet(curves)
+    pairs = n * (n - 1) / 2
+    old_sum = mat[np.triu_indices(n, k=1)].sum()
+    new_sum = old_sum - mat[j].sum() + (d.sum() - d[j])
+    return new_sum / pairs > old_sum / pairs
+
+
 class TestNoveltyAccept:
     def test_identical_candidate_rejected(self):
         curves = [np.array([[0.0, 0.0], [1.0, 0.0]]),
                   np.array([[0.0, 5.0], [1.0, 5.0]])]
-        assert not novelty_accept(curves[0].copy(), curves)
+        assert not novelty_accept(curves[0].copy(), curves, _pairwise_frechet(curves))
 
     def test_distant_candidate_accepted(self):
         cluster = [np.array([[0.0, 0.0], [1.0, 0.0]]) for _ in range(3)]
         far = np.array([[50.0, 50.0], [51.0, 50.0]])
-        assert novelty_accept(far, cluster)
+        assert novelty_accept(far, cluster, _pairwise_frechet(cluster))
 
     def test_matches_bruteforce_recomputation(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
             curves = [rng.uniform(0, 100, (4, 2)) for _ in range(5)]
             cand = rng.uniform(0, 100, (4, 2))
-            got = novelty_accept(cand, curves)
+            got = novelty_accept(cand, curves, _pairwise_frechet(curves))
             # brute force: recompute both averages from scratch
             from roadsearch.geometry import discrete_frechet
             old = population_avg_frechet(curves)
@@ -492,6 +509,74 @@ class TestRunSearch:
                             phenotype=lambda cps: cps.points)
         assert report.aggregates["T"] <= 60
         assert report.events[-1]["kind"] == "BUDGET_EXHAUSTED"
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("seed", [3, 13, 29])
+    def test_novelty_filter_same_run_as_from_scratch_rule(self, monkeypatch,
+                                                          variant, seed):
+        cfg = SearchConfig(variant=variant, population_size=12,
+                           max_evaluations=60, seed=seed, novelty_filter=True)
+        fails_high = lambda c: FAIL if c.points[:, 1].mean() > 135 else PASS
+
+        def run():
+            decisions, selected_from = [], []
+            rule, tournament = search.novelty_accept, search.select
+
+            def recorded_select(pop, rng, config):
+                selected_from.append(list(pop))
+                return tournament(pop, rng, config)
+
+            def checked(candidate, curves, mat):
+                # the curves judged against are the current population's
+                pop = selected_from[-1]
+                assert len(curves) == len(pop)
+                assert all(c is p.centerline for c, p in zip(curves, pop))
+                decisions.append(rule(candidate, curves, mat))
+                return decisions[-1]
+
+            monkeypatch.setattr(search, "select", recorded_select)
+            monkeypatch.setattr(search, "novelty_accept", checked)
+            report = run_search(cfg, stub_evaluator(fitness_by_mean_y, fails_high),
+                                phenotype=lambda cps: cps.points)
+            monkeypatch.undo()
+            records = [(r.id, r.genotype.points.tolist(), r.verdict, r.fitness, r.error)
+                       for r in report.records]
+            return records, report.events, report.aggregates, decisions
+
+        shared = run()
+        monkeypatch.setattr(search, "novelty_accept",
+                            lambda cand, curves, mat: novelty_accept_from_scratch(cand, curves))
+        scratch = run()
+        assert shared == scratch
+        records, events, _, decisions = shared
+        assert len(records) == 60
+        assert [e["kind"] for e in events].count("GENERATION") >= 2
+        assert any(decisions) and not all(decisions)
+
+    def test_novelty_population_matrix_built_once_per_generation(self, monkeypatch):
+        # a generation's n offspring share one n x n population matrix and
+        # add n distances each; every test passes, so the failure archive
+        # computes none
+        n = 6
+        calls = []
+        frechet = search.discrete_frechet
+
+        def counted(p, q):
+            calls.append(1)
+            return frechet(p, q)
+
+        monkeypatch.setattr(search, "discrete_frechet", counted)
+        marks = []
+        cfg = SearchConfig(variant="A", population_size=n, max_evaluations=3 * n,
+                           seed=7, novelty_filter=True)
+        run_search(cfg, stub_evaluator(fitness_by_mean_y),
+                   phenotype=lambda cps: cps.points,
+                   reporter=lambda ev: marks.append((ev["kind"], len(calls))))
+        per_generation = [after - before
+                          for (kind, before), (_, after) in zip(marks, marks[1:])
+                          if kind == "GENERATION"]
+        assert len(per_generation) >= 2
+        assert per_generation == [n * (n - 1) // 2 + n * n] * len(per_generation)
 
     def test_wall_time_budget_terminates(self):
         cfg = SearchConfig(variant="A", wall_time=0.5, seed=1)

@@ -18,6 +18,9 @@ from roadsearch.simulator import (
     run_test,
     step,
 )
+from roadsearch.simulator import _footprint
+
+from geometry_oracles import convex_clip_area
 
 # valid road that the built-in vehicle noticeably struggles with at 25 m/s
 WIGGLY_POINTS = [[43.643, 197.805], [55.718, 22.685], [98.85, 144.87],
@@ -156,6 +159,19 @@ class TestOobPercent:
         result = run_test(road, vp)
         for sample in result.oob_trace:
             assert 0.0 <= sample.oob_percent <= 100.0
+
+    def test_matches_whole_strip_clip_oracle(self):
+        # the simulator clips per-segment quads with its own routine; the
+        # oracle clips the whole right-lane polygon against the footprint
+        road = road_from(WIGGLY_POINTS)
+        vp = VehicleParams(speed=25.0)
+        strip = np.vstack([road.centerline, road.right_boundary[::-1]])
+        states = run_test(road, vp).trajectory[::10]
+        assert len(states) > 20
+        for st in states:
+            inside = convex_clip_area(strip, _footprint(st, vp))
+            expected = min(max(100.0 * (1.0 - inside / (vp.length * vp.width)), 0.0), 100.0)
+            assert oob_percent(st, road, vp) == pytest.approx(expected, abs=1e-6)
 
     def test_degenerate_lane_rejected(self):
         road = straight_road()
