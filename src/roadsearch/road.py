@@ -8,7 +8,7 @@ before any simulation is spent on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -207,13 +207,7 @@ def road_to_dict(road: RoadSpec) -> dict:
         "centerline": road.centerline.tolist(),
         "left_boundary": road.left_boundary.tolist(),
         "right_boundary": road.right_boundary.tolist(),
-        "params": {
-            "lane_width": road.params.lane_width,
-            "num_samples": road.params.num_samples,
-            "min_radius": road.params.min_radius,
-            "map_size": road.params.map_size,
-            "overlap_buffer": road.params.overlap_buffer,
-        },
+        "params": asdict(road.params),
     }
 
 

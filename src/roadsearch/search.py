@@ -178,14 +178,12 @@ class FailureArchive:
         return self._matrix
 
     def avg_frechet(self) -> float | None:
-        n = len(self.failures)
-        if n < 2 or any(f.centerline is None for f in self.failures):
+        if len(self.failures) < 2:
             return None
         return _mean_upper(self.pairwise())
 
     def max_frechet(self) -> float | None:
-        n = len(self.failures)
-        if n < 2 or any(f.centerline is None for f in self.failures):
+        if len(self.failures) < 2:
             return None
         return float(self.pairwise().max())
 
@@ -354,15 +352,43 @@ def _worst_index(pop: list) -> int:
     return worst
 
 
+def _offspring(pop: list, rng, config: SearchConfig, phenotype) -> list:
+    """One generation's n offspring: tournament selection, crossover and
+    mutation. With the novelty filter, a child that would not raise the
+    population's average Frechet distance is replaced by a copy of its
+    evaluated parent."""
+    offspring: list[Individual] = []
+    if config.novelty_filter:
+        # pop stays fixed until the generation ends, so its curves and
+        # their matrix serve every offspring's novelty check
+        curves = [p.centerline for p in pop]
+        mat = _pairwise_frechet(curves)
+    while len(offspring) < config.population_size:
+        p1 = select(pop, rng, config)
+        p2 = select(pop, rng, config)
+        c1, c2 = crossover(p1, p2, rng, config)
+        for child, parent in ((c1, p1), (c2, p2)):
+            if len(offspring) >= config.population_size:
+                break
+            child = mutate(child, rng, config)
+            if config.novelty_filter:
+                child.centerline = phenotype(child.genotype)
+                if not novelty_accept(child.centerline, curves, mat):
+                    child = _copy_evaluated(parent)  # denied: the slot keeps the parent
+            offspring.append(child)
+    return offspring
+
+
 def run_search(config: SearchConfig, evaluator, *, validity=None,
                phenotype=None, reporter=None) -> RunReport:
     """Run one seeded search and report every evaluated test.
 
-    ``evaluator(ind) -> ind`` fills in fitness/verdict (and ideally the
-    centerline, used by the Frechet aggregates). ``validity(cps) -> bool``
-    is required for variant C's guided reseeds; ``phenotype(cps) ->
-    centerline`` is required when the novelty filter is on. ``reporter``
-    is an optional callable invoked with every event as it happens.
+    ``evaluator(ind) -> ind`` fills in fitness, verdict and centerline
+    (the novelty filter and the Frechet aggregates read the centerline).
+    ``validity(cps) -> bool`` is required for variant C's guided reseeds;
+    ``phenotype(cps) -> centerline`` is required when the novelty filter
+    is on. ``reporter`` is an optional callable invoked with every event
+    as it happens.
 
     The returned report satisfies T = P + I + F, and in variants B/C every
     FAIL event is immediately followed by a RESEED event.
@@ -377,7 +403,6 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
     events: list[dict] = []
     archive = FailureArchive()
     deadline = time.monotonic() + config.wall_time if config.wall_time else None
-    seed_cut_short = False
 
     def out_of_budget() -> bool:
         if config.max_evaluations is not None and len(records) >= config.max_evaluations:
@@ -390,104 +415,71 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         if reporter is not None:
             reporter(event)
 
-    def run_eval(ind: Individual):
-        t0 = time.perf_counter()
-        evaluator(ind)
-        rec = TestRecord(len(records), ind.genotype, ind.verdict, ind.fitness,
-                         time.perf_counter() - t0, ind.error)
-        records.append(rec)
-        if ind.verdict == FAIL:
-            archive.add(ind)
-            emit("FAIL", test=rec.id, fitness=ind.fitness)
-        return ind
-
-    def draw_seed(guided: bool) -> Individual:
-        if guided:
-            return guided_seed_individual(rng, config, validity)
-        return random_individual(rng, config)
-
-    epoch = 0
-    pop: list[Individual] = []
-    need_seed = True
-    gen_index = 0
-
-    while not out_of_budget():
-        if need_seed:
-            guided = config.variant == "C" and epoch > 0
-            emit("SEED", epoch=epoch, guided=guided)
-            pop = []
-            reseed = False
-            for _ in range(config.population_size):
-                if out_of_budget():
-                    seed_cut_short = True
-                    break
-                ind = run_eval(draw_seed(guided))
-                pop.append(ind)
-                if ind.verdict == FAIL and config.variant in RESTART_VARIANTS:
-                    emit("RESEED", epoch=epoch)
-                    epoch += 1
-                    reseed = True
-                    break
-            if reseed:
-                continue
+    def seeds(guided: bool):
+        # draw each seed just before its evaluation and none once the
+        # budget is spent: after a FAIL in B/C the reseed draws next
+        for _ in range(config.population_size):
             if out_of_budget():
-                break
-            need_seed = False
-            gen_index = 0
-            continue
+                return
+            yield (guided_seed_individual(rng, config, validity) if guided
+                   else random_individual(rng, config))
 
-        gen_index += 1
-        emit("GENERATION", epoch=epoch, index=gen_index)
-        offspring: list[Individual] = []
-        if config.novelty_filter:
-            # pop stays fixed until the generation ends, so its curves and
-            # their matrix serve every offspring's novelty check
-            curves = [p.centerline if p.centerline is not None else phenotype(p.genotype)
-                      for p in pop]
-            mat = _pairwise_frechet(curves)
-        while len(offspring) < config.population_size:
-            p1 = select(pop, rng, config)
-            p2 = select(pop, rng, config)
-            c1, c2 = crossover(p1, p2, rng, config)
-            for child, parent in ((c1, p1), (c2, p2)):
-                if len(offspring) >= config.population_size:
-                    break
-                child = mutate(child, rng, config)
-                if config.novelty_filter:
-                    child.centerline = phenotype(child.genotype)
-                    if not novelty_accept(child.centerline, curves, mat):
-                        child = _copy_evaluated(parent)  # denied: the slot keeps the parent
-                offspring.append(child)
-
-        new_pop: list[Individual] = []
-        reseed = False
-        for ind in offspring:
+    def evaluate_in_order(batch):
+        """Evaluate the batch's unevaluated individuals in order until the
+        budget runs out or, in B/C, a FAIL. Returns the individuals
+        reached and whether to reseed."""
+        reached: list[Individual] = []
+        for ind in batch:
             if not ind.evaluated:
                 if out_of_budget():
                     break
-                run_eval(ind)
-            new_pop.append(ind)
+                t0 = time.perf_counter()
+                evaluator(ind)
+                rec = TestRecord(len(records), ind.genotype, ind.verdict, ind.fitness,
+                                 time.perf_counter() - t0, ind.error)
+                records.append(rec)
+                if ind.verdict == FAIL:
+                    archive.add(ind)
+                    emit("FAIL", test=rec.id, fitness=ind.fitness)
+            reached.append(ind)
             if ind.verdict == FAIL and config.variant in RESTART_VARIANTS:
-                emit("RESEED", epoch=epoch)
-                epoch += 1
-                reseed = True
-                need_seed = True
-                break
+                return reached, True
+        return reached, False
+
+    epoch = gen_index = 0
+    pop: list[Individual] = []  # empty until a seed batch completes
+    partial_seed = False
+    while not out_of_budget():
+        seeding = not pop
+        if seeding:
+            guided = config.variant == "C" and epoch > 0
+            emit("SEED", epoch=epoch, guided=guided)
+            gen_index = 0
+            batch = seeds(guided)
+        else:
+            gen_index += 1
+            emit("GENERATION", epoch=epoch, index=gen_index)
+            batch = _offspring(pop, rng, config, phenotype)
+        reached, reseed = evaluate_in_order(batch)
         if reseed:
+            emit("RESEED", epoch=epoch)
+            epoch += 1
+            pop = []
             continue
-        if len(new_pop) < config.population_size:
-            break  # budget ran out mid-generation
+        if len(reached) < config.population_size:
+            partial_seed = seeding  # the budget ran out mid-batch
+            break
+        if not seeding:
+            for _ in range(config.elitism):
+                bi = _best_index(pop)
+                wi = _worst_index(reached)
+                if pop[bi].fitness > reached[wi].fitness:
+                    reached[wi] = pop.pop(bi)
+                else:
+                    break
+        pop = reached
 
-        for _ in range(config.elitism):
-            bi = _best_index(pop)
-            wi = _worst_index(new_pop)
-            if pop[bi].fitness > new_pop[wi].fitness:
-                new_pop[wi] = pop.pop(bi)
-            else:
-                break
-        pop = new_pop
-
-    emit("BUDGET_EXHAUSTED", evaluations=len(records), partial_seed=seed_cut_short)
+    emit("BUDGET_EXHAUSTED", evaluations=len(records), partial_seed=partial_seed)
 
     counts = {PASS: 0, INVALID: 0, FAIL: 0}
     for rec in records:

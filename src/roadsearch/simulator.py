@@ -152,9 +152,15 @@ def _point_at_arclength(path: np.ndarray, cum: np.ndarray, s: float) -> np.ndarr
     return np.array([x, y])
 
 
-def _pursuit_steer(state: VehicleState, path: np.ndarray, cum: np.ndarray,
-                   params: VehicleParams):
-    """Pure-pursuit steering command plus the vehicle's arc position."""
+def pure_pursuit(state: VehicleState, path: np.ndarray, cum: np.ndarray,
+                 params: VehicleParams):
+    """Steer toward the point ``lookahead`` meters of arc ahead of the
+    vehicle's nearest point on ``path`` (``cum`` is its
+    :func:`polyline_lengths`).
+
+    Returns ``(steer, s)``, ``s`` being the arc length of that nearest
+    point; once it reaches the end of the path, steer is 0.
+    """
     s = _project_on_path(state.position, path, cum)
     if s >= cum[-1] - 1e-9:
         return 0.0, s
@@ -164,20 +170,6 @@ def _pursuit_steer(state: VehicleState, path: np.ndarray, cum: np.ndarray,
     steer = math.atan(2.0 * params.wheelbase * math.sin(alpha) / params.lookahead)
     steer = min(params.max_steer, max(-params.max_steer, steer))
     return steer, s
-
-
-def pure_pursuit(state: VehicleState, lane_center: np.ndarray, params: VehicleParams):
-    """Steer toward the point ``lookahead`` meters of arc ahead of the
-    vehicle's nearest point on the lane center.
-
-    Returns ``(steer, at_end)``; ``at_end`` is True once the vehicle's
-    projection has reached the end of the path (steer is then 0).
-    """
-    if len(lane_center) < 2:
-        raise ValueError("lane_center needs at least 2 points")
-    cum = polyline_lengths(lane_center)
-    steer, s = _pursuit_steer(state, lane_center, cum, params)
-    return steer, s >= cum[-1] - 1e-9
 
 
 def _footprint(state: VehicleState, params: VehicleParams) -> np.ndarray:
@@ -245,8 +237,13 @@ def _clip_area(quad, edges) -> float:
     return 0.5 * abs(area)
 
 
-def _oob_against_strip(state: VehicleState, params: VehicleParams,
-                       strip: _LaneStrip) -> float:
+def oob_percent(state: VehicleState, strip: _LaneStrip, params: VehicleParams) -> float:
+    """Percentage of the vehicle's bounding-box area outside the right lane.
+
+    The right lane is the strip between centerline and right boundary,
+    clipped against the vehicle's oriented bounding rectangle; 0 means
+    fully in lane, 100 fully outside (over the center line or off road).
+    """
     rect = _footprint(state, params)
     ux, uy = math.cos(state.heading), math.sin(state.heading)
     # inward half-plane normals of the CCW rectangle
@@ -265,17 +262,6 @@ def _oob_against_strip(state: VehicleState, params: VehicleParams,
     if out < 1e-9:  # clipping noise
         return 0.0
     return min(out, 100.0)
-
-
-def oob_percent(state: VehicleState, road: RoadSpec, params: VehicleParams) -> float:
-    """Percentage of the vehicle's bounding-box area outside the right lane.
-
-    The right lane is the strip between centerline and right boundary,
-    clipped against the vehicle's oriented bounding rectangle; 0 means
-    fully in lane, 100 fully outside (over the center line or off road).
-    """
-    strip = _LaneStrip(road.centerline, road.right_boundary)
-    return _oob_against_strip(state, params, strip)
 
 
 def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
@@ -304,18 +290,18 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
     strip = _LaneStrip(road.centerline, road.right_boundary)
 
     trajectory = [state]
-    oob0 = _oob_against_strip(state, vp, strip)
+    oob0 = oob_percent(state, strip, vp)
     oob_trace = [OobSample(0.0, oob0)]
     max_oob = oob0
     completed = False
 
     while True:
-        steer, s = _pursuit_steer(state, lane_center, cum, vp)
+        steer, s = pure_pursuit(state, lane_center, cum, vp)
         if s >= total - end_margin:
             completed = True
             break
         state = step(state, steer, vp, dt)
-        oob = _oob_against_strip(state, vp, strip)
+        oob = oob_percent(state, strip, vp)
         trajectory.append(state)
         oob_trace.append(OobSample(state.time, oob))
         if oob > max_oob:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -95,10 +96,13 @@ class TestServeBuiltin:
         assert reply["verdict"] == INVALID
 
     def test_road_serialization_round_trip(self):
-        road = valid_road()
-        again = road_from_dict(json.loads(serialize_road_line(road)))
-        assert np.array_equal(again.centerline, road.centerline)
-        assert again.params == road.params
+        custom = RoadParams(lane_width=3.5, num_samples=60, min_radius=5.0,
+                            map_size=250.0, overlap_buffer=6.0)
+        for params in (RoadParams(), custom):
+            road = dataclasses.replace(valid_road(), params=params)
+            again = road_from_dict(json.loads(serialize_road_line(road)))
+            assert np.array_equal(again.centerline, road.centerline)
+            assert again.params == road.params
 
 
 class TestExternalEvaluate:

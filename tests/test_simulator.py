@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roadsearch.geometry import ControlPointSet
+from roadsearch.geometry import ControlPointSet, polyline_lengths
 from roadsearch.road import RoadParams, RoadSpec, build_road, validate
 from roadsearch.simulator import (
     FAIL,
@@ -18,7 +18,7 @@ from roadsearch.simulator import (
     run_test,
     step,
 )
-from roadsearch.simulator import _footprint
+from roadsearch.simulator import _footprint, _LaneStrip
 
 from geometry_oracles import convex_clip_area
 
@@ -106,31 +106,38 @@ class TestStep:
 class TestPurePursuit:
     def test_aligned_on_straight_path(self):
         path = np.column_stack([np.linspace(0, 100, 51), np.zeros(51)])
-        steer, at_end = pure_pursuit(state_at(10, 0), path, VehicleParams())
+        cum = polyline_lengths(path)
+        steer, s = pure_pursuit(state_at(10, 0), path, cum, VehicleParams())
         assert steer == pytest.approx(0.0, abs=1e-12)
-        assert not at_end
+        assert s == pytest.approx(10.0) and s < cum[-1]
 
     def test_goal_directly_left(self):
         # nearest point and goal chosen so alpha = pi/2:
         # steer = atan(2 * wheelbase * sin(alpha) / lookahead) = atan(5/8)
         vp = VehicleParams(wheelbase=2.5, lookahead=8.0, max_steer=1.0)
         path = np.array([[0.0, 0.0], [0.0, 8.0], [0.0, 16.0]])
-        steer, at_end = pure_pursuit(state_at(0, 0), path, vp)
+        steer, _ = pure_pursuit(state_at(0, 0), path, polyline_lengths(path), vp)
         assert steer == pytest.approx(math.atan(5.0 / 8.0), abs=1e-9)
 
     def test_mirrored_offsets_mirror_steer(self):
         vp = VehicleParams()
         path = np.column_stack([np.linspace(0, 100, 51), np.zeros(51)])
-        up, _ = pure_pursuit(state_at(10, 1.5), path, vp)
-        down, _ = pure_pursuit(state_at(10, -1.5), path, vp)
+        cum = polyline_lengths(path)
+        up, _ = pure_pursuit(state_at(10, 1.5), path, cum, vp)
+        down, _ = pure_pursuit(state_at(10, -1.5), path, cum, vp)
         assert up == pytest.approx(-down, abs=1e-12)
         assert up < 0  # offset left of the path steers right
 
     def test_beyond_path_end(self):
         path = np.array([[0.0, 0.0], [10.0, 0.0]])
-        steer, at_end = pure_pursuit(state_at(15, 0), path, VehicleParams())
+        cum = polyline_lengths(path)
+        steer, s = pure_pursuit(state_at(15, 0), path, cum, VehicleParams())
         assert steer == 0.0
-        assert at_end
+        assert s >= cum[-1] - 1e-9
+
+
+def lane_strip(road):
+    return _LaneStrip(road.centerline, road.right_boundary)
 
 
 class TestOobPercent:
@@ -139,19 +146,19 @@ class TestOobPercent:
         # right-lane center is y=98; rear axle so body center sits there
         vp = VehicleParams()
         st = state_at(100 - vp.wheelbase / 2, 98.0)
-        assert oob_percent(st, road, vp) == 0.0
+        assert oob_percent(st, lane_strip(road), vp) == 0.0
 
     def test_fully_in_opposite_lane(self):
         road = straight_road()
         vp = VehicleParams()
         st = state_at(100 - vp.wheelbase / 2, 102.0)
-        assert oob_percent(st, road, vp) == pytest.approx(100.0)
+        assert oob_percent(st, lane_strip(road), vp) == pytest.approx(100.0)
 
     def test_straddling_centerline_is_half_out(self):
         road = straight_road()
         vp = VehicleParams()
         st = state_at(100 - vp.wheelbase / 2, 100.0)  # body center on the centerline
-        assert oob_percent(st, road, vp) == pytest.approx(50.0, abs=0.5)
+        assert oob_percent(st, lane_strip(road), vp) == pytest.approx(50.0, abs=0.5)
 
     def test_bounds(self):
         road = road_from(WIGGLY_POINTS)
@@ -166,19 +173,20 @@ class TestOobPercent:
         road = road_from(WIGGLY_POINTS)
         vp = VehicleParams(speed=25.0)
         strip = np.vstack([road.centerline, road.right_boundary[::-1]])
+        quads = lane_strip(road)
         states = run_test(road, vp).trajectory[::10]
         assert len(states) > 20
         for st in states:
             inside = convex_clip_area(strip, _footprint(st, vp))
             expected = min(max(100.0 * (1.0 - inside / (vp.length * vp.width)), 0.0), 100.0)
-            assert oob_percent(st, road, vp) == pytest.approx(expected, abs=1e-6)
+            assert oob_percent(st, quads, vp) == pytest.approx(expected, abs=1e-6)
 
     def test_degenerate_lane_rejected(self):
         road = straight_road()
         bad = RoadSpec(road.centerline, road.left_boundary,
                        road.right_boundary[:10], road.params)
         with pytest.raises(ValueError):
-            oob_percent(state_at(0, 98), bad, VehicleParams())
+            lane_strip(bad)
 
 
 class TestRunTest:
