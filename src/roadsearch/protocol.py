@@ -34,6 +34,7 @@ from .simulator import (
     TestResult,
     VehicleParams,
     VehicleState,
+    check_timing,
     invalid_result,
     run_test,
 )
@@ -190,6 +191,10 @@ def main(argv=None) -> int:
     parser.add_argument("--trajectory", action="store_true",
                         help="include the driven trajectory in replies")
     args = parser.parse_args(argv)
+    try:
+        check_timing(args.dt, args.max_time)
+    except ValueError as exc:
+        parser.error(str(exc))
     vp = VehicleParams(speed=args.speed, lookahead=args.lookahead,
                        max_steer=args.max_steer)
     serve_builtin(vparams=vp, dt=args.dt, max_time=args.max_time,

@@ -32,6 +32,7 @@ from .simulator import (
     PASS,
     TestResult,
     VehicleParams,
+    check_timing,
     invalid_result,
     run_test,
 )
@@ -214,14 +215,13 @@ def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
 
 def builtin_driver(vparams: VehicleParams, dt: float = DT,
                    max_time: float = MAX_TIME) -> Driver:
-    """Driver over the built-in simulator. A road the simulator cannot
-    drive (it raises ValueError) comes back INVALID with the message as
-    its ``error``."""
+    """Driver over the built-in simulator. A ``dt`` or ``max_time`` that
+    is not finite and positive raises ValueError here, once, rather than
+    when the first road is driven."""
+    check_timing(dt, max_time)
+
     def drive(road: RoadSpec) -> TestResult:
-        try:
-            return run_test(road, vparams, dt=dt, max_time=max_time)
-        except ValueError as exc:
-            return invalid_result(str(exc))
+        return run_test(road, vparams, dt=dt, max_time=max_time)
     return drive
 
 

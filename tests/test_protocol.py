@@ -13,6 +13,7 @@ from roadsearch.protocol import (
     ERR_TIMEOUT,
     SutDescriptor,
     external_evaluate,
+    main,
     parse_reply,
     serialize_road_line,
     serve_builtin,
@@ -87,6 +88,15 @@ class TestServeBuiltin:
             reply = json.loads(line)
             assert reply["verdict"] == direct.verdict
             assert reply["max_oob"] == direct.max_oob
+
+    @pytest.mark.parametrize("argv", [["--dt", "0"], ["--dt", "nan"],
+                                      ["--max-time", "-5"], ["--max-time", "inf"]])
+    def test_bad_timing_exits_with_usage_error(self, argv, capsys):
+        # --dt 0 used to start serving and answer every road INVALID
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_garbage_line_answered_invalid(self):
         stdin = io.StringIO("this is not a road\n")

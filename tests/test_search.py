@@ -147,11 +147,13 @@ class TestEvaluate:
         evaluate(ind, RoadParams(), driven.append)
         assert ind.verdict == INVALID and driven == []
 
-    def test_undrivable_road_invalid_with_message(self):
-        ind = make_ind(WIGGLY_POINTS)
-        evaluate(ind, RoadParams(), builtin_driver(VehicleParams(), dt=-0.05))
-        assert ind.verdict == INVALID and ind.fitness == 0.0
-        assert ind.error == "dt must be positive"
+    def test_bad_timing_rejected_when_driver_built(self):
+        # a NaN dt used to FAIL every road after one step, max_time=-5 to
+        # PASS it after one step, and dt=0 to turn every road INVALID
+        for dt, max_time in ((float("nan"), 120.0), (0.0, 120.0), (-0.05, 120.0),
+                             (0.05, -5.0), (0.05, float("inf"))):
+            with pytest.raises(ValueError, match="dt|max_time"):
+                builtin_driver(VehicleParams(), dt=dt, max_time=max_time)
 
     def test_double_evaluate_rejected(self):
         ind = make_ind(WIGGLY_POINTS, fitness=1.0, verdict=PASS)

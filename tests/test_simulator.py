@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roadsearch.geometry import ControlPointSet, polyline_lengths
+from roadsearch.geometry import ControlPointSet, min_curvature_radius
 from roadsearch.road import RoadParams, RoadSpec, build_road, validate
 from roadsearch.simulator import (
     FAIL,
@@ -12,13 +14,14 @@ from roadsearch.simulator import (
     TestResult,
     VehicleParams,
     VehicleState,
+    check_timing,
     invalid_result,
     oob_percent,
     pure_pursuit,
     run_test,
     step,
 )
-from roadsearch.simulator import _footprint, _LaneStrip
+from roadsearch.simulator import _clip_area, _footprint, _LaneStrip, _Path
 
 from geometry_oracles import convex_clip_area
 
@@ -105,35 +108,32 @@ class TestStep:
 
 class TestPurePursuit:
     def test_aligned_on_straight_path(self):
-        path = np.column_stack([np.linspace(0, 100, 51), np.zeros(51)])
-        cum = polyline_lengths(path)
-        steer, s = pure_pursuit(state_at(10, 0), path, cum, VehicleParams())
+        path = _Path(np.column_stack([np.linspace(0, 100, 51), np.zeros(51)]))
+        steer, s = pure_pursuit(state_at(10, 0), path, VehicleParams())
         assert steer == pytest.approx(0.0, abs=1e-12)
-        assert s == pytest.approx(10.0) and s < cum[-1]
+        assert s == pytest.approx(10.0) and s < path.total
 
     def test_goal_directly_left(self):
         # nearest point and goal chosen so alpha = pi/2:
         # steer = atan(2 * wheelbase * sin(alpha) / lookahead) = atan(5/8)
         vp = VehicleParams(wheelbase=2.5, lookahead=8.0, max_steer=1.0)
-        path = np.array([[0.0, 0.0], [0.0, 8.0], [0.0, 16.0]])
-        steer, _ = pure_pursuit(state_at(0, 0), path, polyline_lengths(path), vp)
+        path = _Path(np.array([[0.0, 0.0], [0.0, 8.0], [0.0, 16.0]]))
+        steer, _ = pure_pursuit(state_at(0, 0), path, vp)
         assert steer == pytest.approx(math.atan(5.0 / 8.0), abs=1e-9)
 
     def test_mirrored_offsets_mirror_steer(self):
         vp = VehicleParams()
-        path = np.column_stack([np.linspace(0, 100, 51), np.zeros(51)])
-        cum = polyline_lengths(path)
-        up, _ = pure_pursuit(state_at(10, 1.5), path, cum, vp)
-        down, _ = pure_pursuit(state_at(10, -1.5), path, cum, vp)
+        path = _Path(np.column_stack([np.linspace(0, 100, 51), np.zeros(51)]))
+        up, _ = pure_pursuit(state_at(10, 1.5), path, vp)
+        down, _ = pure_pursuit(state_at(10, -1.5), path, vp)
         assert up == pytest.approx(-down, abs=1e-12)
         assert up < 0  # offset left of the path steers right
 
     def test_beyond_path_end(self):
-        path = np.array([[0.0, 0.0], [10.0, 0.0]])
-        cum = polyline_lengths(path)
-        steer, s = pure_pursuit(state_at(15, 0), path, cum, VehicleParams())
+        path = _Path(np.array([[0.0, 0.0], [10.0, 0.0]]))
+        steer, s = pure_pursuit(state_at(15, 0), path, VehicleParams())
         assert steer == 0.0
-        assert s >= cum[-1] - 1e-9
+        assert s >= path.total - 1e-9
 
 
 def lane_strip(road):
@@ -177,7 +177,7 @@ class TestOobPercent:
         states = run_test(road, vp).trajectory[::10]
         assert len(states) > 20
         for st in states:
-            inside = convex_clip_area(strip, _footprint(st, vp))
+            inside = convex_clip_area(strip, np.array(_footprint(st, vp)[2]))
             expected = min(max(100.0 * (1.0 - inside / (vp.length * vp.width)), 0.0), 100.0)
             assert oob_percent(st, quads, vp) == pytest.approx(expected, abs=1e-6)
 
@@ -254,6 +254,16 @@ class TestRunTest:
         assert result.verdict == PASS
         assert not result.completed
 
+    @pytest.mark.parametrize("dt,max_time", [
+        (math.nan, 120.0), (0.0, 120.0), (-0.05, 120.0), (math.inf, 120.0),
+        (0.05, -5.0), (0.05, 0.0), (0.05, math.nan), (0.05, math.inf)])
+    def test_bad_timing_rejected_before_driving(self, dt, max_time):
+        # NaN dt used to FAIL after one step and max_time=-5 to PASS after one
+        with pytest.raises(ValueError, match="dt|max_time"):
+            run_test(straight_road(), dt=dt, max_time=max_time)
+        with pytest.raises(ValueError):
+            check_timing(dt, max_time)
+
     def test_trajectory_and_trace_paired(self):
         result = run_test(road_from(WIGGLY_POINTS), VehicleParams(speed=25.0))
         assert len(result.trajectory) == len(result.oob_trace)
@@ -266,3 +276,129 @@ def test_invalid_result_shape():
     assert r.verdict == "INVALID"
     assert r.trajectory == [] and r.oob_trace == []
     assert r.error == "protocol-error"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_roads.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_valid_roads():
+    roads = []
+    for entry in GOLDEN["entries"]:
+        road = build_road(ControlPointSet(np.asarray(entry["points"]), 200.0), RoadParams())
+        if validate(road).valid:
+            roads.append(road)
+    return roads
+
+
+def clipped_oob(state, strip, vp):
+    """oob_percent without its in-lane early-out: every quad whose
+    bounding box meets the footprint's, clipped with _clip_area and
+    summed in quad order. The preselection is recomputed here from the
+    quads themselves."""
+    _, (ux, uy), rect = _footprint(state, vp)
+    xs, ys = [p[0] for p in rect], [p[1] for p in rect]
+    edges = ((rect[0][0], rect[0][1], -uy, ux), (rect[1][0], rect[1][1], -ux, -uy),
+             (rect[2][0], rect[2][1], uy, -ux), (rect[3][0], rect[3][1], ux, uy))
+    inside = 0.0
+    for quad in strip.quads:
+        qx, qy = [p[0] for p in quad], [p[1] for p in quad]
+        if (min(qx) <= max(xs) and min(qy) <= max(ys)
+                and max(qx) >= min(xs) and max(qy) >= min(ys)):
+            inside += _clip_area(quad, edges)
+    out = 100.0 * (1.0 - inside / (vp.length * vp.width))
+    return 0.0 if out < 1e-9 else min(out, 100.0)
+
+
+def test_every_step_matches_full_clip(golden_valid_roads):
+    # the early-out may only skip work: each step of each valid golden road
+    # at 25 m/s gives bit for bit the per-quad clip's value
+    vp = VehicleParams(speed=25.0)
+    steps, positive, mismatches = 0, 0, []
+    for k, road in enumerate(golden_valid_roads):
+        strip = lane_strip(road)
+        result = run_test(road, vp)
+        for n, (st, sample) in enumerate(zip(result.trajectory, result.oob_trace)):
+            want = clipped_oob(st, strip, vp)
+            if sample.oob_percent != want:
+                mismatches.append((k, n, sample.oob_percent, want))
+            positive += want > 0.0
+        steps += len(result.trajectory)
+    assert mismatches == []
+    assert len(golden_valid_roads) == 84 and steps > 10000 and positive > 100
+
+
+def body_pose(lane, cum, s, lateral, yaw, vp):
+    """Vehicle whose body center sits ``lateral`` m left of the lane
+    center at arc length ``s`` (extrapolated past either end), heading
+    ``yaw`` off the lane direction."""
+    i = min(max(int(np.searchsorted(cum, s)) - 1, 0), len(cum) - 2)
+    a, b = lane[i], lane[i + 1]
+    u = (b - a) / np.linalg.norm(b - a)
+    center = a + (s - cum[i]) * u + lateral * np.array([-u[1], u[0]])
+    heading = math.atan2(u[1], u[0]) + yaw
+    rear = center - 0.5 * vp.wheelbase * np.array([math.cos(heading), math.sin(heading)])
+    return VehicleState(rear, heading)
+
+
+def test_in_lane_early_out_is_conservative(golden_valid_roads):
+    vp = VehicleParams()
+    roomy = VehicleParams(length=vp.length + 0.2, width=vp.width + 0.2)
+    rng = np.random.default_rng(6)
+    sharpest = sorted(golden_valid_roads, key=lambda r: min_curvature_radius(r.centerline))[:4]
+    # lateral offsets of the body center from the lane center (4 m lane,
+    # 1.8 m body): its left side near the centerline, its right side near
+    # the right boundary, anywhere across the start and end caps, and
+    # well inside the lane
+    edge = 2.0 - 0.5 * vp.width
+    regions = {"centerline": lambda total: (rng.uniform(0, total), edge + rng.uniform(-0.4, 0.4)),
+               "right": lambda total: (rng.uniform(0, total), -edge + rng.uniform(-0.4, 0.4)),
+               "start cap": lambda total: (rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)),
+               "end cap": lambda total: (total + rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)),
+               "inside": lambda total: (rng.uniform(0, total), rng.uniform(-0.9, 0.9))}
+    unsound, mismatches = [], []
+    said_inside, out_of_lane, clearly_in, clearly_in_said = {}, {}, 0, 0
+    for road in sharpest:
+        strip = lane_strip(road)
+        assert strip.tiled
+        lane = 0.5 * (road.centerline + road.right_boundary)
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(lane, axis=0), axis=1))])
+        for name, draw in regions.items():
+            for _ in range(100):
+                s, lateral = draw(cum[-1])
+                st = body_pose(lane, cum, s, lateral, rng.uniform(-0.15, 0.15), vp)
+                center, axis, rect = _footprint(st, vp)
+                inside = strip.contains(strip.near(rect), center, axis, vp)
+                full = clipped_oob(st, strip, vp)
+                if inside and full > 0.0:
+                    unsound.append((name, s, lateral, full))
+                if oob_percent(st, strip, vp) != full:
+                    mismatches.append((name, s, lateral))
+                said_inside[name] = said_inside.get(name, 0) + inside
+                out_of_lane[name] = out_of_lane.get(name, 0) + (full > 0.0)
+                if clipped_oob(st, strip, roomy) == 0.0:  # 0.1 m clear all round
+                    clearly_in += 1
+                    clearly_in_said += inside
+    assert unsound == [] and mismatches == []
+    # every region puts footprints on both sides of the answer
+    for name in regions:
+        assert said_inside[name] > 0, name
+        assert out_of_lane[name] > 0 or name == "inside", name
+    assert clearly_in > 500 and clearly_in_said >= 0.95 * clearly_in
+
+
+def test_contains_says_no_off_the_tiling():
+    # one far quad of the strip twisted (its last right-boundary point
+    # moved across the centerline): the strip is no longer a tiling, so a
+    # footprint that is well inside the lane gets no early-out, only the clip
+    road = straight_road()
+    right = road.right_boundary.copy()
+    right[-1] = road.left_boundary[-1]
+    strip = _LaneStrip(road.centerline, right)
+    vp = VehicleParams()
+    st = state_at(100 - vp.wheelbase / 2, 98.0)
+    center, axis, rect = _footprint(st, vp)
+    assert not strip.tiled and lane_strip(road).tiled
+    assert not strip.contains(strip.near(rect), center, axis, vp)
+    assert lane_strip(road).contains(strip.near(rect), center, axis, vp)
+    assert oob_percent(st, strip, vp) == clipped_oob(st, strip, vp) == 0.0
