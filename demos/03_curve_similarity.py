@@ -9,7 +9,7 @@ score high.
 import numpy as np
 
 from roadsearch import ControlPointSet, RoadParams, build_road
-from roadsearch.geometry import discrete_frechet, frechet_bruteforce
+from roadsearch.geometry import discrete_frechet, frechet_pairs
 from roadsearch.search import population_avg_frechet
 
 # tiny sanity examples
@@ -17,14 +17,14 @@ print("identical lines:", discrete_frechet([[0, 0], [1, 0]], [[0, 0], [1, 0]]))
 print("parallel lines 1 m apart:",
       discrete_frechet([[0, 0], [1, 0], [2, 0]], [[0, 1], [1, 1], [2, 1]]))
 
-# the dynamic program agrees with exhaustive coupling enumeration
-rng = np.random.default_rng(0)
-worst = 0.0
-for _ in range(100):
-    p = rng.uniform(0, 10, (rng.integers(1, 6), 2))
-    q = rng.uniform(0, 10, (rng.integers(1, 6), 2))
-    worst = max(worst, abs(discrete_frechet(p, q) - frechet_bruteforce(p, q)))
-print(f"dp vs brute force over 100 random pairs: max delta {worst:.2e}")
+# a case small enough to check by hand: the walker steps (0,0) (1,0) (2,0),
+# the dog (0,1) (2,1). Both start together (1 m apart) and end together
+# (1 m apart); the walker's middle point has to wait with the dog at one
+# end or the other, sqrt(1 + 1) m away either way. So the leash is sqrt(2).
+walker, dog = [[0, 0], [1, 0], [2, 0]], [[0, 1], [2, 1]]
+print(f"walker vs dog: {discrete_frechet(walker, dog):.6f} m "
+      f"(by hand: sqrt(2) = {np.sqrt(2):.6f} m)")
+assert discrete_frechet(walker, dog) == np.sqrt(2)
 
 # distances between whole roads
 params = RoadParams()
@@ -43,3 +43,6 @@ print(f"nudged copy:    frechet = {discrete_frechet(a, b):7.2f} m")
 print(f"different road: frechet = {discrete_frechet(a, c):7.2f} m")
 print(f"population average over all three: "
       f"{population_avg_frechet([a, b, c]):.2f} m")
+
+# many pairs at once: one batched sweep, here the base road against both
+print("base vs [nudged, different]:", np.round(frechet_pairs(a, [b, c]), 2), "m")

@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .geometry import (
     ControlPointSet,
-    bezier_point,
     discrete_frechet,
-    frechet_bruteforce,
+    frechet_pairs,
     min_curvature_radius,
     sample_bezier,
 )

@@ -7,22 +7,21 @@ concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ControlPointSet",
-    "bezier_point",
     "sample_bezier",
     "discrete_frechet",
-    "frechet_bruteforce",
+    "frechet_pairs",
     "segment_self_distances",
     "min_curvature_radius",
     "polyline_lengths",
 ]
-
-BRUTEFORCE_CELL_LIMIT = 64
 
 
 @dataclass
@@ -44,8 +43,8 @@ class ControlPointSet:
             raise ValueError("need at least 2 control points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("control points must be finite")
-        if self.map_size <= 0:
-            raise ValueError("map_size must be positive")
+        if not (math.isfinite(self.map_size) and self.map_size > 0):
+            raise ValueError("map_size must be positive and finite")
         if pts.min() < 0.0 or pts.max() > self.map_size:
             raise ValueError("control points must lie inside the map")
         self.points = pts
@@ -62,23 +61,6 @@ def _as_polyline(p, min_points=1) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < min_points:
         raise ValueError(f"expected an (n>={min_points}, 2) polyline")
     return arr
-
-
-def bezier_point(cps: ControlPointSet, t: float) -> np.ndarray:
-    """Evaluate the degree-(n-1) Bezier curve at parameter ``t``.
-
-    Uses the de Casteljau recurrence, so the result is numerically stable
-    and always inside the convex hull of the control points.
-
-    >>> bezier_point(ControlPointSet([[0, 0], [2, 2], [4, 0]], 10.0), 0.5)
-    array([2., 1.])
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    b = cps.points.astype(float, copy=True)
-    while len(b) > 1:
-        b = (1.0 - t) * b[:-1] + t * b[1:]
-    return b[0]
 
 
 def sample_bezier(cps: ControlPointSet, num_samples: int) -> np.ndarray:
@@ -107,98 +89,100 @@ def polyline_lengths(p) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _frechet_table_py(d) -> float:
-    # same recurrence as the numba kernel, on plain lists
-    rows = d.tolist()
-    n = len(rows[0])
-    prev = rows[0]
-    for j in range(1, n):
-        prev[j] = prev[j] if prev[j] > prev[j - 1] else prev[j - 1]
-    for row in rows[1:]:
-        row[0] = row[0] if row[0] > prev[0] else prev[0]
-        for j in range(1, n):
-            best = prev[j]
-            if prev[j - 1] < best:
-                best = prev[j - 1]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            if best > row[j]:
-                row[j] = best
-        prev = row
-    return float(prev[-1])
+# pairs per anti-diagonal sweep: bounds the working set (about 3 MB for
+# curves of 100 points) however many pairs a caller passes
+FRECHET_CHUNK = 128
+# anti-diagonals whose point distances one numpy call computes
+_DIAGONALS_PER_BLOCK = 8
 
 
-try:  # pairwise reports over many failures need the fast path
-    from numba import njit as _njit
+def _as_curves(curves) -> list:
+    # one polyline -> [it]; a sequence or (B, n, 2) stack of them -> a list
+    if (isinstance(curves, np.ndarray) and curves.ndim < 3) or (
+            len(curves) and np.ndim(curves[0]) == 1):
+        return [_as_polyline(curves)]
+    return [_as_polyline(c) for c in curves]
 
-    @_njit(cache=True)
-    def _frechet_table_nb(d):  # pragma: no cover - exercised via discrete_frechet
-        m, n = d.shape
-        for j in range(1, n):
-            if d[0, j] < d[0, j - 1]:
-                d[0, j] = d[0, j - 1]
-        for i in range(1, m):
-            if d[i, 0] < d[i - 1, 0]:
-                d[i, 0] = d[i - 1, 0]
-            for j in range(1, n):
-                best = d[i - 1, j]
-                if d[i - 1, j - 1] < best:
-                    best = d[i - 1, j - 1]
-                if d[i, j - 1] < best:
-                    best = d[i, j - 1]
-                if best > d[i, j]:
-                    d[i, j] = best
-        return d[m - 1, n - 1]
-except ImportError:  # pragma: no cover
-    _frechet_table_nb = None
+
+def _stack(polys: list) -> np.ndarray:
+    # (b, n, 2) with shorter curves padded by repeating their last point:
+    # coupling the copies with the other curve's last point adds only a
+    # distance every coupling holds, so no Frechet distance changes
+    stack = np.empty((len(polys), max(len(c) for c in polys), 2))
+    for b, c in enumerate(polys):
+        stack[b, :len(c)] = c
+        stack[b, len(c):] = c[-1]
+    return stack
+
+
+def _frechet_sweep(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    batch, n, m = max(len(p), len(q)), p.shape[1], q.shape[1]
+    pxy = np.ascontiguousarray(p.transpose(0, 2, 1))[:, :, None, :]  # (b, 2, 1, n)
+    # q reversed and padded so that window s holds q[m+n-2-s-i] at row i:
+    # diagonal k (cells (i, k-i)) is window m+n-2-k, a strided view
+    qpad = np.zeros((len(q), 2, m + 2 * (n - 1)))
+    qpad[:, :, n - 1:n - 1 + m] = q[:, ::-1].transpose(0, 2, 1)
+    windows = sliding_window_view(qpad, n, axis=-1)
+    # rows for diagonals k-2, k-1 and k; entry i+1 holds cell (i, k-i)
+    older, prev, cur = (np.full((batch, n + 1), np.inf) for _ in range(3))
+    block = np.empty((batch, 2, _DIAGONALS_PER_BLOCK, n))
+    diagonals = n + m - 1
+    for k0 in range(0, diagonals, _DIAGONALS_PER_BLOCK):
+        count = min(_DIAGONALS_PER_BLOCK, diagonals - k0)
+        # squared distances of this block's cells, rows [top, bottom)
+        top, bottom = max(0, k0 - m + 1), min(k0 + count - 1, n - 1) + 1
+        s0 = m + n - 2 - k0
+        d = block[:, :, :count, :bottom - top]
+        np.subtract(pxy[..., top:bottom],
+                    windows[:, :, s0 - count + 1:s0 + 1, top:bottom][:, :, ::-1], out=d)
+        np.multiply(d, d, out=d)
+        sq = np.add(d[:, 0], d[:, 1], out=d[:, 0])
+        for k in range(k0, k0 + count):
+            lo, hi = max(0, k - m + 1), min(k, n - 1) + 1  # rows i in [lo, hi)
+            dist, best = sq[:, k - k0, lo - top:hi - top], cur[:, lo + 1:hi + 1]
+            if k == 0:  # every coupling starts at (0, 0)
+                best[...] = dist
+            else:
+                np.minimum(prev[:, lo:hi], prev[:, lo + 1:hi + 1], out=best)
+                np.minimum(best, older[:, lo:hi], out=best)
+                np.maximum(best, dist, out=best)
+            older, prev, cur = prev, cur, older
+    return np.sqrt(prev[:, n])
+
+
+def frechet_pairs(ps, qs) -> np.ndarray:
+    """Discrete Frechet distances of B pairs of polylines, shape (B,).
+
+    ``ps`` and ``qs`` are each one polyline or a sequence (or a
+    ``(B, n, 2)`` stack) of them; one polyline is paired with every curve
+    on the other side. The standard dynamic program over each |p| x |q|
+    coupling table (Eiter & Mannila 1994) runs on a stack of tables at
+    once, one anti-diagonal at a time: cell (i, j) needs only diagonals
+    i+j-1 and i+j-2, so three rolling rows padded with +inf hold the state.
+    Point distances are computed eight diagonals at a time from a strided
+    view of the reversed q, and no |p| x |q| table is built. Every cell is a min or max of earlier
+    cells, so each result is exactly one paired distance. The sweep runs
+    on squared distances and takes the square root at the end, which
+    gives the same value as ``sqrt(dx*dx + dy*dy)`` per cell because the
+    square root is monotone.
+    """
+    p, q = _as_curves(ps), _as_curves(qs)
+    if len(p) != len(q) and 1 not in (len(p), len(q)):
+        raise ValueError(f"cannot pair {len(p)} curves with {len(q)}")
+    batch = len(q) if len(p) == 1 else len(p)
+    out = np.empty(batch)
+    for s in range(0, batch, FRECHET_CHUNK):
+        part = slice(s, s + FRECHET_CHUNK)
+        out[part] = _frechet_sweep(_stack(p if len(p) == 1 else p[part]),
+                                   _stack(q if len(q) == 1 else q[part]))
+    return out
 
 
 def discrete_frechet(p, q) -> float:
-    """Discrete Frechet distance between two polylines.
-
-    Standard dynamic program over the |p| x |q| coupling table: the
-    minimum over monotone couplings of the maximum paired point distance.
-    Symmetric in its arguments.
-    """
-    p = _as_polyline(p)
-    q = _as_polyline(q)
-    d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
-    if _frechet_table_nb is not None:
-        return float(_frechet_table_nb(d))
-    return _frechet_table_py(d)
-
-
-def frechet_bruteforce(p, q) -> float:
-    """Independent oracle for :func:`discrete_frechet`.
-
-    Exhaustively enumerates every monotone coupling of the two point
-    sequences and takes the min over couplings of the max paired
-    distance. Exponential: refuses inputs with |p|*|q| > 64 cells.
-    """
-    p = _as_polyline(p)
-    q = _as_polyline(q)
-    if len(p) * len(q) > BRUTEFORCE_CELL_LIMIT:
-        raise ValueError("input too large for exhaustive enumeration")
-    d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2).tolist()
-    last_i, last_j = len(p) - 1, len(q) - 1
-    best = [float("inf")]
-
-    def walk(i, j, cur):
-        if d[i][j] > cur:
-            cur = d[i][j]
-        if i == last_i and j == last_j:
-            if cur < best[0]:
-                best[0] = cur
-            return
-        if i < last_i:
-            walk(i + 1, j, cur)
-        if j < last_j:
-            walk(i, j + 1, cur)
-        if i < last_i and j < last_j:
-            walk(i + 1, j + 1, cur)
-
-    walk(0, 0, 0.0)
-    return best[0]
+    """Discrete Frechet distance between two polylines: the minimum over
+    monotone couplings of the maximum paired point distance. Symmetric in
+    its arguments; one pair of :func:`frechet_pairs`."""
+    return float(frechet_pairs(_as_polyline(p), _as_polyline(q))[0])
 
 
 def _point_segment_dist(points, a, b):

@@ -8,6 +8,7 @@ before any simulation is spent on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -56,18 +57,16 @@ class RoadParams:
     overlap_buffer: float | None = None
 
     def __post_init__(self):
-        if self.lane_width <= 0:
-            raise ValueError("lane_width must be positive")
-        if self.num_samples < 2:
+        for name in ("lane_width", "min_radius", "map_size"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.num_samples) and self.num_samples >= 2):
             raise ValueError("num_samples must be >= 2")
-        if self.min_radius <= 0:
-            raise ValueError("min_radius must be positive")
-        if self.map_size <= 0:
-            raise ValueError("map_size must be positive")
         if self.overlap_buffer is None:
             self.overlap_buffer = 2.0 * self.lane_width
-        if self.overlap_buffer < 0:
-            raise ValueError("overlap_buffer must be >= 0")
+        if not (math.isfinite(self.overlap_buffer) and self.overlap_buffer >= 0):
+            raise ValueError("overlap_buffer must be finite and >= 0")
 
 
 @dataclass

@@ -16,13 +16,14 @@ the population's average pairwise Frechet distance.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geometry import ControlPointSet, discrete_frechet
+from .geometry import ControlPointSet, frechet_pairs
 from .road import RoadParams, RoadSpec, build_road, validate
 from .simulator import (
     DT,
@@ -97,30 +98,25 @@ class SearchConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.population_size is None:
             self.population_size = 15 if self.variant == "C" else 25
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.num_control_points < 3:
-            raise ValueError("num_control_points must be >= 3")
         if self.max_evaluations is None and self.wall_time is None:
             self.max_evaluations = 300
         if self.max_evaluations is not None and self.wall_time is not None:
             raise ValueError("give max_evaluations or wall_time, not both")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
-        if self.wall_time is not None and self.wall_time <= 0:
-            raise ValueError("wall_time must be positive")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must be in [0, 1]")
-        if self.mutation_range <= 0:
-            raise ValueError("mutation_range must be positive")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if self.elitism < 0:
-            raise ValueError("elitism must be >= 0")
-        if self.map_size <= 0:
-            raise ValueError("map_size must be positive")
+        # NaN fails every bound and inf every isfinite: a NaN or infinite
+        # budget would never run out
+        lower = {"population_size": 2, "num_control_points": 3, "max_evaluations": 1,
+                 "tournament_size": 1, "elitism": 0}
+        for name, low in lower.items():
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= low):
+                raise ValueError(f"{name} must be finite and >= {low}")
+        for name in ("wall_time", "mutation_range", "map_size"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("mutation_prob", "crossover_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays
@@ -293,11 +289,12 @@ def mutate(ind: Individual, rng, config: SearchConfig) -> Individual:
 
 
 def _pairwise_frechet(curves) -> np.ndarray:
+    # the n(n-1)/2 pairs of the upper triangle in one batched call
     n = len(curves)
+    rows, cols = np.triu_indices(n, k=1)
     mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = discrete_frechet(curves[i], curves[j])
+    mat[rows, cols] = mat[cols, rows] = frechet_pairs([curves[i] for i in rows],
+                                                      [curves[j] for j in cols])
     return mat
 
 
@@ -319,11 +316,11 @@ def novelty_accept(candidate, curves, mat: np.ndarray) -> bool:
 
     ``mat`` holds the Frechet distances between the ``curves``
     (``mat[i, j]`` for curves i and j), computed once per population; only
-    the candidate's n distances are computed here."""
+    the candidate's n distances are computed here, in one batched call."""
     n = len(curves)
     if n < 2:
         return True
-    d = np.array([discrete_frechet(candidate, c) for c in curves])
+    d = frechet_pairs(candidate, curves)
     j = int(np.argmin(d))
     pairs = n * (n - 1) / 2
     old_sum = mat[np.triu_indices(n, k=1)].sum()
@@ -352,31 +349,37 @@ def _worst_index(pop: list) -> int:
     return worst
 
 
-def _offspring(pop: list, rng, config: SearchConfig, phenotype) -> list:
-    """One generation's n offspring: tournament selection, crossover and
-    mutation. With the novelty filter, a child that would not raise the
+def _offspring(pop: list, rng, config: SearchConfig, phenotype, out_of_budget):
+    """Yield one generation's n offspring: tournament selection, crossover
+    and mutation. With the novelty filter, a child that would not raise the
     population's average Frechet distance is replaced by a copy of its
-    evaluated parent."""
-    offspring: list[Individual] = []
+    evaluated parent.
+
+    Every child is drawn before the first is yielded, so the RNG order
+    does not depend on the budget; a child is built and checked only if
+    the budget is not spent when its turn comes."""
+    drawn: list[tuple[Individual, Individual]] = []
+    while len(drawn) < config.population_size:
+        p1 = select(pop, rng, config)
+        p2 = select(pop, rng, config)
+        c1, c2 = crossover(p1, p2, rng, config)
+        for child, parent in ((c1, p1), (c2, p2)):
+            if len(drawn) >= config.population_size:
+                break
+            drawn.append((mutate(child, rng, config), parent))
     if config.novelty_filter:
         # pop stays fixed until the generation ends, so its curves and
         # their matrix serve every offspring's novelty check
         curves = [p.centerline for p in pop]
         mat = _pairwise_frechet(curves)
-    while len(offspring) < config.population_size:
-        p1 = select(pop, rng, config)
-        p2 = select(pop, rng, config)
-        c1, c2 = crossover(p1, p2, rng, config)
-        for child, parent in ((c1, p1), (c2, p2)):
-            if len(offspring) >= config.population_size:
-                break
-            child = mutate(child, rng, config)
-            if config.novelty_filter:
-                child.centerline = phenotype(child.genotype)
-                if not novelty_accept(child.centerline, curves, mat):
-                    child = _copy_evaluated(parent)  # denied: the slot keeps the parent
-            offspring.append(child)
-    return offspring
+    for child, parent in drawn:
+        if out_of_budget():
+            return
+        if config.novelty_filter:
+            child.centerline = phenotype(child.genotype)
+            if not novelty_accept(child.centerline, curves, mat):
+                child = _copy_evaluated(parent)  # denied: the slot keeps the parent
+        yield child
 
 
 def run_search(config: SearchConfig, evaluator, *, validity=None,
@@ -459,7 +462,7 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         else:
             gen_index += 1
             emit("GENERATION", epoch=epoch, index=gen_index)
-            batch = _offspring(pop, rng, config, phenotype)
+            batch = _offspring(pop, rng, config, phenotype, out_of_budget)
         reached, reseed = evaluate_in_order(batch)
         if reseed:
             emit("RESEED", epoch=epoch)

@@ -72,8 +72,9 @@ class VehicleParams:
     def __post_init__(self):
         for name in ("wheelbase", "width", "length", "speed", "max_steer",
                      "lookahead", "steer_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_steer >= math.pi / 2:
             raise ValueError("max_steer must be < pi/2")
 

@@ -11,12 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from roadsearch.geometry import (
-    ControlPointSet,
-    bezier_point,
-    discrete_frechet,
-    frechet_bruteforce,
-)
+from roadsearch.geometry import ControlPointSet, discrete_frechet
 from roadsearch.protocol import SutDescriptor, external_evaluate
 from roadsearch.report import load_archive, replay, summary_row, write_report
 from roadsearch.road import RoadParams, build_road, validate
@@ -39,6 +34,8 @@ from roadsearch.simulator import (
 )
 
 import sys
+
+from geometry_oracles import bezier_point, frechet_bruteforce
 
 SEEDS = (1, 2, 3, 4, 5)
 ROAD_PARAMS = RoadParams()

@@ -71,6 +71,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.json")
 
+    def test_nan_in_file_rejected(self, tmp_path):
+        # json reads NaN and Infinity as floats; the dataclasses refuse them
+        path = tmp_path / "cfg.json"
+        for text, key in (('{"vehicle": {"speed": NaN}}', "speed"),
+                          ('{"road": {"min_radius": NaN}}', "min_radius"),
+                          ('{"search": {"wall_time": Infinity}}', "wall_time")):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=key):
+                parse_config(path)
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="road"):
             parse_config_dict({"road": [1, 2, 3]})

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadsearch.geometry import (
+    FRECHET_CHUNK,
     ControlPointSet,
-    bezier_point,
     discrete_frechet,
-    frechet_bruteforce,
+    frechet_pairs,
     min_curvature_radius,
     polyline_lengths,
     sample_bezier,
 )
+from roadsearch.road import RoadParams, build_road
 
-from geometry_oracles import convex_clip_area, polygon_area, self_intersects
+from geometry_oracles import (
+    bezier_point,
+    convex_clip_area,
+    discrete_frechet_reference,
+    frechet_bruteforce,
+    polygon_area,
+    self_intersects,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_roads.json"
 
 
 def cps(points, map_size=200.0):
@@ -34,6 +46,9 @@ class TestControlPointSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cps([[0, 0], [np.nan, 1]])
+        for map_size in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cps([[0, 0], [1, 1]], map_size)
 
 
 class TestBezierPoint:
@@ -136,6 +151,72 @@ class TestDiscreteFrechet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             discrete_frechet(np.empty((0, 2)), [[1, 1]])
+
+
+@pytest.fixture(scope="module")
+def golden_centerlines():
+    entries = json.loads(GOLDEN.read_text())["entries"][:20]
+    return [build_road(ControlPointSet(np.asarray(e["points"]), 200.0), RoadParams()).centerline
+            for e in entries]
+
+
+def reference(ps, qs):
+    return np.array([discrete_frechet_reference(p, q) for p, q in zip(ps, qs)])
+
+
+class TestFrechetPairs:
+    """The batched kernel must equal the row-by-row reference DP exactly."""
+
+    def test_all_pairs_of_golden_centerlines(self, golden_centerlines):
+        curves = golden_centerlines
+        rows, cols = np.triu_indices(len(curves), k=1)
+        ps, qs = [curves[i] for i in rows], [curves[j] for j in cols]
+        assert len(ps) > FRECHET_CHUNK  # spans more than one sweep
+        got = frechet_pairs(ps, qs)
+        assert np.array_equal(got, reference(ps, qs))
+        assert np.array_equal(frechet_pairs(np.stack(ps), np.stack(qs)), got)
+
+    def test_unequal_lengths(self, golden_centerlines):
+        rng = np.random.default_rng(5)
+        ps = [c[:int(rng.integers(1, 101))] for c in golden_centerlines]
+        qs = [c[int(rng.integers(0, 100)):] for c in golden_centerlines[::-1]]
+        assert len({len(p) for p in ps}) > 1 and len({len(q) for q in qs}) > 1
+        assert np.array_equal(frechet_pairs(ps, qs), reference(ps, qs))
+
+    def test_one_point_curves(self):
+        rng = np.random.default_rng(6)
+        ps = [rng.uniform(0, 10, (1, 2)) for _ in range(6)]
+        qs = [rng.uniform(0, 10, (n, 2)) for n in (1, 1, 2, 3, 5, 8)]
+        assert np.array_equal(frechet_pairs(ps, qs), reference(ps, qs))
+        assert np.array_equal(frechet_pairs(qs, ps), reference(qs, ps))
+        assert frechet_pairs([[0, 0]], [[3, 4]]).tolist() == [5.0]
+
+    def test_one_curve_broadcasts_against_a_stack(self, golden_centerlines):
+        cand, curves = golden_centerlines[0], golden_centerlines[1:13]
+        want = reference([cand] * len(curves), curves)
+        assert np.array_equal(frechet_pairs(cand, curves), want)
+        assert np.array_equal(frechet_pairs(curves, cand), reference(curves, [cand] * 12))
+        assert np.array_equal(frechet_pairs(cand, np.stack(curves)), want)
+
+    def test_single_pair_matches_reference(self, golden_centerlines):
+        p, q = golden_centerlines[3], golden_centerlines[7]
+        assert discrete_frechet(p, q) == discrete_frechet_reference(p, q)
+
+    def test_empty_batch_and_mismatched_counts(self):
+        assert frechet_pairs([], [[0, 0], [1, 0]]).shape == (0,)
+        with pytest.raises(ValueError):
+            frechet_pairs([[[0, 0]], [[1, 1]]], [[[0, 0]], [[1, 1]], [[2, 2]]])
+        with pytest.raises(ValueError):
+            frechet_pairs([np.empty((0, 2))], [[[0, 0]]])
+
+    @given(st.lists(st.tuples(polylines(max_points=6), polylines(max_points=6)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_bruteforce(self, pairs):
+        ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+        got = frechet_pairs(ps, qs)
+        assert got.tolist() == [frechet_bruteforce(p, q) for p, q in pairs]
+        assert np.array_equal(got, reference(ps, qs))
 
 
 class TestFrechetBruteforce:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestRoadParams:
             RoadParams(num_samples=1)
         with pytest.raises(ValueError):
             RoadParams(min_radius=-1)
+
+    @pytest.mark.parametrize("name", ["lane_width", "min_radius", "map_size",
+                                      "overlap_buffer", "num_samples"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        # with a NaN min_radius no road would ever be too sharp
+        with pytest.raises(ValueError):
+            RoadParams(**{name: value})
 
 
 class TestBuildRoad:

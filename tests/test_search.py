@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from roadsearch import search
-from roadsearch.geometry import ControlPointSet
+from roadsearch.geometry import ControlPointSet, discrete_frechet
 from roadsearch.road import RoadParams
 from roadsearch.search import (
     FAIL,
@@ -86,6 +88,22 @@ class TestSearchConfig:
             SearchConfig(variant="D")
         with pytest.raises(ValueError):
             SearchConfig(population_size=1)
+
+    @pytest.mark.parametrize("bad", [
+        {"wall_time": math.nan}, {"wall_time": math.inf},
+        {"max_evaluations": math.nan}, {"max_evaluations": math.inf},
+        {"population_size": math.nan}, {"population_size": math.inf},
+        {"num_control_points": math.nan},
+        {"tournament_size": math.nan}, {"tournament_size": math.inf},
+        {"mutation_prob": math.nan}, {"crossover_prob": math.nan},
+        {"mutation_range": math.nan}, {"mutation_range": math.inf},
+        {"elitism": math.nan}, {"elitism": math.inf},
+        {"map_size": math.nan}, {"map_size": math.inf},
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_non_finite_rejected(self, bad):
+        # a NaN wall_time or max_evaluations budget would never run out
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
 
 
 class TestRandomIndividual:
@@ -298,7 +316,7 @@ def novelty_accept_from_scratch(candidate, curves) -> bool:
     n = len(curves)
     if n < 2:
         return True
-    d = np.array([search.discrete_frechet(candidate, c) for c in curves])
+    d = np.array([discrete_frechet(candidate, c) for c in curves])
     j = int(np.argmin(d))
     mat = _pairwise_frechet(curves)
     pairs = n * (n - 1) / 2
@@ -325,7 +343,6 @@ class TestNoveltyAccept:
             cand = rng.uniform(0, 100, (4, 2))
             got = novelty_accept(cand, curves, _pairwise_frechet(curves))
             # brute force: recompute both averages from scratch
-            from roadsearch.geometry import discrete_frechet
             old = population_avg_frechet(curves)
             j = int(np.argmin([discrete_frechet(cand, c) for c in curves]))
             swapped = list(curves)
@@ -558,27 +575,53 @@ class TestRunSearch:
     def test_novelty_population_matrix_built_once_per_generation(self, monkeypatch):
         # a generation's n offspring share one n x n population matrix and
         # add n distances each; every test passes, so the failure archive
-        # computes none
+        # computes none. Distances are counted as pairs passed to the kernel.
         n = 6
-        calls = []
-        frechet = search.discrete_frechet
+        pairs, decisions = [], []
+        kernel, accept = search.frechet_pairs, search.novelty_accept
 
-        def counted(p, q):
-            calls.append(1)
-            return frechet(p, q)
+        def counted(ps, qs):
+            d = kernel(ps, qs)
+            pairs.append(len(d))
+            return d
 
-        monkeypatch.setattr(search, "discrete_frechet", counted)
-        marks = []
-        cfg = SearchConfig(variant="A", population_size=n, max_evaluations=3 * n,
-                           seed=7, novelty_filter=True)
-        run_search(cfg, stub_evaluator(fitness_by_mean_y),
-                   phenotype=lambda cps: cps.points,
-                   reporter=lambda ev: marks.append((ev["kind"], len(calls))))
-        per_generation = [after - before
-                          for (kind, before), (_, after) in zip(marks, marks[1:])
-                          if kind == "GENERATION"]
-        assert len(per_generation) >= 2
-        assert per_generation == [n * (n - 1) // 2 + n * n] * len(per_generation)
+        def recorded(candidate, curves, mat):
+            decisions[-1].append(accept(candidate, curves, mat))
+            return decisions[-1][-1]
+
+        def mark(event):
+            if event["kind"] == "GENERATION":
+                decisions.append([])
+            marks.append((event["kind"], sum(pairs), len(evaluated)))
+
+        monkeypatch.setattr(search, "frechet_pairs", counted)
+        monkeypatch.setattr(search, "novelty_accept", recorded)
+        matrix, full = n * (n - 1) // 2, n * (n - 1) // 2 + n * n
+        cut_short = []
+        # at seed 7 the first budget ends with the second generation and
+        # the others part-way through a generation
+        for budget in (2 * n + 1, 3 * n, 4 * n - 3, 5 * n):
+            pairs.clear()
+            decisions.clear()
+            marks, evaluated = [], []
+            evaluate = stub_evaluator(fitness_by_mean_y)
+            cfg = SearchConfig(variant="A", population_size=n, max_evaluations=budget,
+                               seed=7, novelty_filter=True)
+            run_search(cfg, lambda ind: evaluated.append(ind) or evaluate(ind),
+                       phenotype=lambda cps: cps.points, reporter=mark)
+            spans = [(after - before, done - start)
+                     for (kind, before, start), (_, after, done) in zip(marks, marks[1:])
+                     if kind == "GENERATION"]
+            assert len(spans) >= 2 and [len(d) for d in decisions[:-1]] == [n] * (len(spans) - 1)
+            assert [p for p, _ in spans[:-1]] == [full] * (len(spans) - 1)
+            # in the generation the budget ends, children past the budget
+            # are not checked: the last check is the child whose test spent it
+            last, (last_pairs, last_evals) = decisions[-1], spans[-1]
+            assert last_pairs == matrix + n * len(last)
+            cut_short.append(len(last) < n)
+            if cut_short[-1]:
+                assert last[-1] and sum(last) == last_evals
+        assert cut_short == [False, True, True, True]
 
     def test_wall_time_budget_terminates(self):
         cfg = SearchConfig(variant="A", wall_time=0.5, seed=1)

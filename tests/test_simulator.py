@@ -50,6 +50,16 @@ def state_at(x, y, heading=0.0, steer=0.0):
     return VehicleState(np.array([x, y], dtype=float), heading, steer)
 
 
+class TestVehicleParams:
+    @pytest.mark.parametrize("name", ["wheelbase", "width", "length", "speed",
+                                      "max_steer", "lookahead", "steer_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        # speed=nan used to give a FAIL after one step, speed=inf a PASS
+        with pytest.raises(ValueError, match=name):
+            VehicleParams(**{name: value})
+
+
 class TestStep:
     def test_straight_motion(self):
         vp = VehicleParams(speed=10.0)
