@@ -10,7 +10,6 @@ import numpy as np
 
 from roadsearch import ControlPointSet, RoadParams, build_road
 from roadsearch.geometry import discrete_frechet, frechet_pairs
-from roadsearch.search import population_avg_frechet
 
 # tiny sanity examples
 print("identical lines:", discrete_frechet([[0, 0], [1, 0]], [[0, 0], [1, 0]]))
@@ -41,8 +40,10 @@ different = [[10, 30], [40, 170], [70, 30], [100, 170], [130, 30], [160, 170], [
 a, b, c = centerline(base), centerline(nudged), centerline(different)
 print(f"nudged copy:    frechet = {discrete_frechet(a, b):7.2f} m")
 print(f"different road: frechet = {discrete_frechet(a, c):7.2f} m")
-print(f"population average over all three: "
-      f"{population_avg_frechet([a, b, c]):.2f} m")
 
 # many pairs at once: one batched sweep, here the base road against both
 print("base vs [nudged, different]:", np.round(frechet_pairs(a, [b, c]), 2), "m")
+
+# the three pairs of the population in one sweep, and their mean
+pairs = frechet_pairs([a, a, b], [b, c, c])
+print(f"population average over all three: {pairs.mean():.2f} m")

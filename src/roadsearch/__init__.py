@@ -38,11 +38,10 @@ from .search import (
     evaluate,
     mutate,
     novelty_accept,
-    population_avg_frechet,
     random_individual,
     run_search,
     select,
 )
 from .protocol import SutDescriptor, external_evaluate
-from .config import ConfigError, parse_config, serialize_config
+from .config import ConfigError, serialize_config
 from .report import ReplayDivergence, render_test_svg, replay, write_report

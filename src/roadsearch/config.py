@@ -17,8 +17,7 @@ from .search import SearchConfig
 from .simulator import VehicleParams
 from .protocol import SutDescriptor
 
-__all__ = ["ConfigError", "parse_config", "parse_config_dict", "read_config",
-           "serialize_config"]
+__all__ = ["ConfigError", "parse_config_dict", "read_config", "serialize_config"]
 
 _SECTIONS = {
     "search": SearchConfig,
@@ -84,11 +83,6 @@ def read_config(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def parse_config(path):
-    """Load and validate a JSON config file."""
-    return parse_config_dict(read_config(path))
 
 
 def serialize_config(search: SearchConfig, road: RoadParams,

@@ -5,11 +5,13 @@ streams: the harness writes a single line of JSON holding the serialized
 road, the SUT answers with a single JSON line::
 
     {"verdict": "PASS"|"FAIL"|"INVALID", "max_oob": <float>,
-     "completed": <bool>?, "trajectory": [[x, y], ...]?}
+     "completed": <bool>?}
+
+Any other key of the reply (a ``trajectory``, say) is ignored.
 
 Spawn failures, timeouts and malformed replies each map to an INVALID
 result with a distinguishing error tag, so a broken SUT never kills a
-run. ``python -m roadsearch.protocol`` serves the built-in simulator
+run. ``python -m roadsearch.protocol`` serves the built-in driver
 behind this exact protocol (used for differential testing and as a
 reference for writing real SUT adapters).
 """
@@ -17,27 +19,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .road import RoadSpec, road_from_dict, road_to_dict
-from .simulator import (
-    DT,
-    FAIL,
-    INVALID,
-    MAX_TIME,
-    PASS,
-    TestResult,
-    VehicleParams,
-    VehicleState,
-    check_timing,
-    invalid_result,
-    run_test,
-)
+from .search import builtin_driver
+from .simulator import (DT, FAIL, INVALID, MAX_TIME, PASS, TestResult, VehicleParams,
+                        invalid_result)
 
 __all__ = [
     "SutDescriptor",
@@ -73,8 +64,9 @@ class SutDescriptor:
             raise ValueError(f"kind must be '{BUILTIN}' or '{EXTERNAL}'")
         if self.kind == EXTERNAL and not self.command:
             raise ValueError("external SUT requires a command")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # a NaN or infinite timeout would abort the first driven road
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be positive and finite")
 
 
 def serialize_road_line(road: RoadSpec) -> str:
@@ -93,14 +85,8 @@ def parse_reply(line: str) -> TestResult:
     if (isinstance(max_oob, bool) or not isinstance(max_oob, (int, float))
             or not 0.0 <= max_oob <= 100.0):
         raise ValueError(f"bad max_oob {max_oob!r}")
-    trajectory = []
-    if "trajectory" in data and data["trajectory"] is not None:
-        for point in data["trajectory"]:
-            x, y = point
-            trajectory.append(VehicleState(np.array([float(x), float(y)]), 0.0))
     return TestResult(
         verdict=verdict,
-        trajectory=trajectory,
         max_oob=float(max_oob),
         completed=bool(data.get("completed", False)),
     )
@@ -144,34 +130,28 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
     return result
 
 
-def result_to_reply(result: TestResult, with_trajectory: bool = False) -> str:
-    payload = {
+def result_to_reply(result: TestResult) -> str:
+    return json.dumps({
         "verdict": result.verdict,
         "max_oob": result.max_oob,
         "completed": result.completed,
-    }
-    if with_trajectory:
-        payload["trajectory"] = [list(map(float, s.position)) for s in result.trajectory]
-    return json.dumps(payload)
+    })
 
 
-def serve_builtin(stdin=None, stdout=None, vparams: VehicleParams | None = None,
-                  dt: float = DT, max_time: float = MAX_TIME,
-                  with_trajectory: bool = False):
-    """Serve the built-in simulator over the line protocol until EOF."""
+def serve_builtin(drive, stdin=None, stdout=None):
+    """Answer each road line with ``drive(road)`` until EOF; a line that
+    is not a road is answered INVALID with the protocol-error tag."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    vp = vparams or VehicleParams()
     for line in stdin:
         line = line.strip()
         if not line:
             continue
         try:
-            road = road_from_dict(json.loads(line))
-            result = run_test(road, vp, dt=dt, max_time=max_time)
+            result = drive(road_from_dict(json.loads(line)))
         except (ValueError, KeyError, TypeError):
             result = invalid_result(ERR_PROTOCOL)
-        stdout.write(result_to_reply(result, with_trajectory) + "\n")
+        stdout.write(result_to_reply(result) + "\n")
         stdout.flush()
 
 
@@ -182,23 +162,15 @@ def main(argv=None) -> int:
         prog="python -m roadsearch.protocol",
         description="Serve the built-in simulator behind the line protocol.",
     )
-    defaults = VehicleParams()
-    parser.add_argument("--speed", type=float, default=defaults.speed)
-    parser.add_argument("--lookahead", type=float, default=defaults.lookahead)
-    parser.add_argument("--max-steer", type=float, default=defaults.max_steer)
+    parser.add_argument("--speed", type=float, default=VehicleParams().speed)
     parser.add_argument("--dt", type=float, default=DT)
     parser.add_argument("--max-time", type=float, default=MAX_TIME)
-    parser.add_argument("--trajectory", action="store_true",
-                        help="include the driven trajectory in replies")
     args = parser.parse_args(argv)
     try:
-        check_timing(args.dt, args.max_time)
+        drive = builtin_driver(VehicleParams(speed=args.speed), args.dt, args.max_time)
     except ValueError as exc:
         parser.error(str(exc))
-    vp = VehicleParams(speed=args.speed, lookahead=args.lookahead,
-                       max_steer=args.max_steer)
-    serve_builtin(vparams=vp, dt=args.dt, max_time=args.max_time,
-                  with_trajectory=args.trajectory)
+    serve_builtin(drive)
     return 0
 
 

@@ -236,13 +236,12 @@ def render_test_svg(road: RoadSpec, result: TestResult | None, path,
         f'<polyline points="{pts(road.centerline)}" fill="none" '
         'stroke="#999999" stroke-width="0.5" stroke-dasharray="3,3"/>',
     ]
-    if result is not None and len(result.trajectory) > 1:
+    if result is not None:
         states = result.trajectory
-        oobs = [s.oob_percent for s in result.oob_trace]
         for i in range(1, len(states)):
             x0, y0 = states[i - 1].position
             x1, y1 = states[i].position
-            color = _oob_color(oobs[i] if i < len(oobs) else 0.0)
+            color = _oob_color(result.oob_trace[i])
             lines.append(
                 f'<line x1="{x0:.2f}" y1="{size - y0:.2f}" x2="{x1:.2f}" '
                 f'y2="{size - y1:.2f}" stroke="{color}" stroke-width="1.4"/>'

@@ -211,10 +211,13 @@ def road_to_dict(road: RoadSpec) -> dict:
 
 
 def road_from_dict(data: dict) -> RoadSpec:
+    """Inverse of :func:`road_to_dict`. Raises ValueError unless the three
+    point arrays are finite and share one (n >= 2, 2) shape."""
     params = RoadParams(**data["params"])
-    return RoadSpec(
-        np.asarray(data["centerline"], dtype=float),
-        np.asarray(data["left_boundary"], dtype=float),
-        np.asarray(data["right_boundary"], dtype=float),
-        params,
-    )
+    arrays = [np.asarray(data[key], dtype=float)
+              for key in ("centerline", "left_boundary", "right_boundary")]
+    shape = arrays[0].shape
+    if (len(shape) != 2 or shape[0] < 2 or shape[1] != 2
+            or any(a.shape != shape for a in arrays) or not np.isfinite(arrays).all()):
+        raise ValueError("road point arrays must be finite and share one (n >= 2, 2) shape")
+    return RoadSpec(*arrays, params)

@@ -53,7 +53,6 @@ __all__ = [
     "select",
     "crossover",
     "mutate",
-    "population_avg_frechet",
     "novelty_accept",
     "run_search",
     "INVALID_SEED_ACCEPT_PROB",
@@ -177,7 +176,8 @@ class FailureArchive:
     def avg_frechet(self) -> float | None:
         if len(self.failures) < 2:
             return None
-        return _mean_upper(self.pairwise())
+        mat = self.pairwise()
+        return float(mat[np.triu_indices(len(mat), k=1)].mean())
 
     def max_frechet(self) -> float | None:
         if len(self.failures) < 2:
@@ -296,18 +296,6 @@ def _pairwise_frechet(curves) -> np.ndarray:
     mat[rows, cols] = mat[cols, rows] = frechet_pairs([curves[i] for i in rows],
                                                       [curves[j] for j in cols])
     return mat
-
-
-def _mean_upper(mat: np.ndarray) -> float:
-    return float(mat[np.triu_indices(len(mat), k=1)].mean())
-
-
-def population_avg_frechet(curves) -> float | None:
-    """Mean pairwise Frechet distance over the given centerlines; None
-    ("n/a") with fewer than two of them."""
-    if len(curves) < 2:
-        return None
-    return _mean_upper(_pairwise_frechet(curves))
 
 
 def novelty_accept(candidate, curves, mat: np.ndarray) -> bool:

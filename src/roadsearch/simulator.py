@@ -28,7 +28,6 @@ __all__ = [
     "MAX_TIME",
     "VehicleParams",
     "VehicleState",
-    "OobSample",
     "TestResult",
     "check_timing",
     "step",
@@ -90,17 +89,12 @@ class VehicleState:
 
 
 @dataclass
-class OobSample:
-    time: float
-    oob_percent: float
-
-
-@dataclass
 class TestResult:
     __test__ = False  # not a pytest class
 
     verdict: str
     trajectory: list = field(default_factory=list)
+    # oob_trace[i] is the out-of-bounds percentage at trajectory[i]
     oob_trace: list = field(default_factory=list)
     max_oob: float = 0.0
     completed: bool = False
@@ -418,7 +412,7 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
 
     trajectory = [state]
     oob0 = oob_percent(state, strip, vp)
-    oob_trace = [OobSample(0.0, oob0)]
+    oob_trace = [oob0]
     max_oob = oob0
     completed = False
 
@@ -430,7 +424,7 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
         state = step(state, steer, vp, dt)
         oob = oob_percent(state, strip, vp)
         trajectory.append(state)
-        oob_trace.append(OobSample(state.time, oob))
+        oob_trace.append(oob)
         if oob > max_oob:
             max_oob = oob
         if oob > OOB_FAIL_THRESHOLD:

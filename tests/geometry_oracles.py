@@ -1,12 +1,12 @@
 """Reference geometry that only the tests use: single-point Bezier
 evaluation, the discrete Frechet distance by a plain dynamic program and
-by exhaustive enumeration, polyline self-intersection, shoelace area and
-convex clipping.
+by exhaustive enumeration, a population's average pairwise Frechet
+distance, polyline self-intersection, shoelace area and convex clipping.
 
 They are kept as independent oracles next to the library's own routines
-(the sampled Bezier curve, the batched Frechet kernel, the road
-validator's fold-back check, the simulator's lane-strip clipper), not as
-part of the library.
+(the sampled Bezier curve, the batched Frechet kernel, the novelty
+filter's incremental average, the road validator's fold-back check, the
+simulator's lane-strip clipper), not as part of the library.
 """
 import numpy as np
 
@@ -60,6 +60,17 @@ def discrete_frechet_reference(p, q) -> float:
                 row[j] = best
         prev = row
     return float(prev[-1])
+
+
+def population_avg_frechet(curves) -> float | None:
+    """Mean Frechet distance over every pair of the given centerlines, by
+    the reference dynamic program; None ("n/a") with fewer than two."""
+    n = len(curves)
+    if n < 2:
+        return None
+    rows, cols = np.triu_indices(n, k=1)
+    return float(np.mean([discrete_frechet_reference(curves[i], curves[j])
+                          for i, j in zip(rows, cols)]))
 
 
 def frechet_bruteforce(p, q) -> float:

@@ -4,8 +4,8 @@ import pytest
 
 from roadsearch.config import (
     ConfigError,
-    parse_config,
     parse_config_dict,
+    read_config,
     serialize_config,
 )
 
@@ -27,7 +27,7 @@ class TestDefaults:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("")
-        search, road, vehicle, sut = parse_config(path)
+        search, road, vehicle, sut = parse_config_dict(read_config(path))
         assert search.variant == "A" and search.population_size == 25
 
     def test_variant_c_population_default(self):
@@ -65,21 +65,23 @@ class TestValidation:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            parse_config(path)
+            parse_config_dict(read_config(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            parse_config(tmp_path / "nope.json")
+            parse_config_dict(read_config(tmp_path / "nope.json"))
 
     def test_nan_in_file_rejected(self, tmp_path):
         # json reads NaN and Infinity as floats; the dataclasses refuse them
         path = tmp_path / "cfg.json"
         for text, key in (('{"vehicle": {"speed": NaN}}', "speed"),
                           ('{"road": {"min_radius": NaN}}', "min_radius"),
-                          ('{"search": {"wall_time": Infinity}}', "wall_time")):
+                          ('{"search": {"wall_time": Infinity}}', "wall_time"),
+                          ('{"sut": {"timeout": NaN}}', "timeout"),
+                          ('{"sut": {"timeout": Infinity}}', "timeout")):
             path.write_text(text)
             with pytest.raises(ConfigError, match=key):
-                parse_config(path)
+                parse_config_dict(read_config(path))
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="road"):
@@ -107,4 +109,4 @@ class TestRoundTrip:
         parsed = parse_config_dict({"search": {"variant": "C"}})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(serialize_config(*parsed)))
-        assert parse_config(path) == parsed
+        assert parse_config_dict(read_config(path)) == parsed

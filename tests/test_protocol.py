@@ -2,11 +2,16 @@ import dataclasses
 import io
 import json
 import logging
+import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roadsearch
+from roadsearch.geometry import ControlPointSet
 from roadsearch.protocol import (
     ERR_PROTOCOL,
     ERR_SPAWN,
@@ -19,10 +24,11 @@ from roadsearch.protocol import (
     serve_builtin,
 )
 from roadsearch.road import RoadParams, build_road, road_from_dict, validate
-from roadsearch.search import SearchConfig, random_individual
+from roadsearch.search import SearchConfig, builtin_driver, random_individual
 from roadsearch.simulator import INVALID, VehicleParams, run_test
 
 PY = sys.executable
+ALL_POINTS = ("centerline", "left_boundary", "right_boundary")
 
 
 def valid_road(seed=3):
@@ -48,17 +54,23 @@ class TestSutDescriptor:
     def test_builtin_default(self):
         assert SutDescriptor().kind == "builtin"
 
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        # NaN and inf used to pass here and abort the run at the first
+        # driven road, inside subprocess.run
+        with pytest.raises(ValueError, match="timeout"):
+            SutDescriptor(kind="external", command="cat", timeout=timeout)
+
 
 class TestReplyParsing:
     def test_good_reply(self):
         r = parse_reply('{"verdict": "PASS", "max_oob": 1.25, "completed": true}')
         assert r.verdict == "PASS" and r.max_oob == 1.25 and r.completed
 
-    def test_reply_with_trajectory(self):
+    def test_trajectory_key_ignored(self):
         r = parse_reply('{"verdict": "FAIL", "max_oob": 97.0, '
                         '"trajectory": [[0, 0], [1, 2]]}')
-        assert len(r.trajectory) == 2
-        assert np.allclose(r.trajectory[1].position, [1, 2])
+        assert r.verdict == "FAIL" and r.max_oob == 97.0 and r.trajectory == []
 
     @pytest.mark.parametrize("line", [
         '{"verdict": "MAYBE", "max_oob": 0}',
@@ -80,7 +92,8 @@ class TestServeBuiltin:
         request = serialize_road_line(road)
         stdin = io.StringIO(request + "\n" + request + "\n")
         stdout = io.StringIO()
-        serve_builtin(stdin, stdout, VehicleParams(speed=25.0), max_time=45.0)
+        serve_builtin(builtin_driver(VehicleParams(speed=25.0), max_time=45.0),
+                      stdin, stdout)
         lines = [ln for ln in stdout.getvalue().splitlines() if ln]
         assert len(lines) == 2
         direct = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
@@ -90,7 +103,8 @@ class TestServeBuiltin:
             assert reply["max_oob"] == direct.max_oob
 
     @pytest.mark.parametrize("argv", [["--dt", "0"], ["--dt", "nan"],
-                                      ["--max-time", "-5"], ["--max-time", "inf"]])
+                                      ["--max-time", "-5"], ["--max-time", "inf"],
+                                      ["--speed", "nan"]])
     def test_bad_timing_exits_with_usage_error(self, argv, capsys):
         # --dt 0 used to start serving and answer every road INVALID
         with pytest.raises(SystemExit) as exc:
@@ -101,9 +115,31 @@ class TestServeBuiltin:
     def test_garbage_line_answered_invalid(self):
         stdin = io.StringIO("this is not a road\n")
         stdout = io.StringIO()
-        serve_builtin(stdin, stdout)
+        serve_builtin(builtin_driver(VehicleParams()), stdin, stdout)
         reply = json.loads(stdout.getvalue().splitlines()[0])
         assert reply["verdict"] == INVALID
+
+    @pytest.mark.parametrize("keys,points", [
+        (ALL_POINTS, []), (ALL_POINTS, [1, 2, 3]), (ALL_POINTS, 5),
+        (ALL_POINTS, [[0, 0]]), (ALL_POINTS, [[0, 0, 0], [1, 1, 1]]),
+        (ALL_POINTS, [[0, 0], [math.nan, 1]]), (("left_boundary",), [[0, 0], [1, 1]])],
+        ids=["empty", "flat", "scalar", "one-point", "3d", "nan", "short-left"])
+    def test_malformed_points_answered_and_serving_goes_on(self, keys, points):
+        # empty, flat or scalar point arrays used to raise IndexError inside
+        # the simulator and end the server without a reply
+        road = valid_road()
+        bad = json.loads(serialize_road_line(road))
+        bad.update({key: points for key in keys})
+        stdin = io.StringIO(json.dumps(bad) + "\n" + serialize_road_line(road) + "\n")
+        stdout = io.StringIO()
+        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        serve_builtin(drive, stdin, stdout)
+        replies = [json.loads(ln) for ln in stdout.getvalue().splitlines()]
+        assert len(replies) == 2
+        assert replies[0]["verdict"] == INVALID
+        direct = drive(road)
+        assert (replies[1]["verdict"], replies[1]["max_oob"]) == \
+               (direct.verdict, direct.max_oob)
 
     def test_road_serialization_round_trip(self):
         custom = RoadParams(lane_width=3.5, num_samples=60, min_radius=5.0,
@@ -113,6 +149,34 @@ class TestServeBuiltin:
             again = road_from_dict(json.loads(serialize_road_line(road)))
             assert np.array_equal(again.centerline, road.centerline)
             assert again.params == road.params
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_roads.json").read_text())
+
+
+class TestServerChild:
+    def test_one_child_answers_a_stream_of_roads(self, tmp_path):
+        # one server process, every road on one stdin until EOF; PYTHONPATH
+        # and cwd as in test_cli's entry-point test, so the child runs the
+        # tree under test
+        rp = RoadParams()
+        roads = [road for road in (build_road(ControlPointSet(e["points"], 200.0), rp)
+                                   for e in GOLDEN["entries"]) if validate(road).valid][:12]
+        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        direct = [drive(road) for road in roads]
+        assert {r.verdict for r in direct} == {"PASS", "FAIL"}
+        src_root = Path(roadsearch.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [PY, "-m", "roadsearch.protocol", "--speed", "25", "--max-time", "45"],
+            input="".join(serialize_road_line(road) + "\n" for road in roads),
+            capture_output=True, text=True, timeout=300, cwd=tmp_path,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)})
+        assert proc.returncode == 0, proc.stderr
+        replies = [parse_reply(ln) for ln in proc.stdout.splitlines()]
+        assert len(replies) == len(roads)
+        for reply, ref in zip(replies, direct):
+            assert reply.verdict == ref.verdict
+            assert abs(reply.max_oob - ref.max_oob) <= 1e-9
 
 
 class TestExternalEvaluate:

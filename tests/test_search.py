@@ -21,13 +21,13 @@ from roadsearch.search import (
     mutate,
     _pairwise_frechet,
     novelty_accept,
-    population_avg_frechet,
     random_individual,
     run_search,
     select,
 )
 from roadsearch.simulator import VehicleParams
 
+from geometry_oracles import population_avg_frechet
 from test_simulator import FAILING_POINTS, WIGGLY_POINTS
 
 

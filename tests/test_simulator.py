@@ -10,7 +10,6 @@ from roadsearch.road import RoadParams, RoadSpec, build_road, validate
 from roadsearch.simulator import (
     FAIL,
     PASS,
-    OobSample,
     TestResult,
     VehicleParams,
     VehicleState,
@@ -174,8 +173,8 @@ class TestOobPercent:
         road = road_from(WIGGLY_POINTS)
         vp = VehicleParams(speed=25.0)
         result = run_test(road, vp)
-        for sample in result.oob_trace:
-            assert 0.0 <= sample.oob_percent <= 100.0
+        for oob in result.oob_trace:
+            assert 0.0 <= oob <= 100.0
 
     def test_matches_whole_strip_clip_oracle(self):
         # the simulator clips per-segment quads with its own routine; the
@@ -254,8 +253,7 @@ class TestRunTest:
     def test_verdict_consistency(self):
         for pts in (WIGGLY_POINTS, FAILING_POINTS):
             result = run_test(road_from(pts), VehicleParams(speed=25.0))
-            trace_max = max(s.oob_percent for s in result.oob_trace)
-            assert result.max_oob == trace_max
+            assert result.max_oob == max(result.oob_trace)
             assert (result.verdict == FAIL) == (result.max_oob > 95.0)
 
     def test_max_time_flags_incomplete(self):
@@ -328,10 +326,10 @@ def test_every_step_matches_full_clip(golden_valid_roads):
     for k, road in enumerate(golden_valid_roads):
         strip = lane_strip(road)
         result = run_test(road, vp)
-        for n, (st, sample) in enumerate(zip(result.trajectory, result.oob_trace)):
+        for n, (st, oob) in enumerate(zip(result.trajectory, result.oob_trace)):
             want = clipped_oob(st, strip, vp)
-            if sample.oob_percent != want:
-                mismatches.append((k, n, sample.oob_percent, want))
+            if oob != want:
+                mismatches.append((k, n, oob, want))
             positive += want > 0.0
         steps += len(result.trajectory)
     assert mismatches == []
