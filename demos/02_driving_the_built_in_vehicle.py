@@ -29,18 +29,18 @@ assert validate(road).valid
 
 for speed in (12.0, 18.0, 25.0):
     vp = VehicleParams(speed=speed)
-    result = run_test(road, vp, max_time=45.0)
+    result = run_test(road, vp)
     print(f"speed {speed:4.1f} m/s: verdict {result.verdict:7s} "
           f"max_oob {result.max_oob:6.2f}%  "
           f"steps {len(result.trajectory):4d}  completed {result.completed}")
 
-result = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
+result = run_test(road, VehicleParams(speed=25.0))
 render_test_svg(road, result, OUT / "02_failure.svg",
                 title=f"25 m/s, max oob {result.max_oob:.0f}%")
 print(f"wrote {OUT / '02_failure.svg'} (trajectory colored green->red by oob)")
 
 # determinism: the simulator is a pure function of its inputs
-again = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
+again = run_test(road, VehicleParams(speed=25.0))
 identical = all(np.array_equal(a.position, b.position)
                 for a, b in zip(result.trajectory, again.trajectory))
 print(f"re-run bit-identical: {identical}")

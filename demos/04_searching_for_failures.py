@@ -24,7 +24,7 @@ vehicle = VehicleParams(speed=25.0)  # high speed makes tight roads dangerous
 validity = lambda cps: validate(build_road(cps, road_params)).valid
 # a driver takes a road to a verdict; evaluate() builds each candidate's
 # road, validates it and drives only the valid ones
-drive = builtin_driver(vehicle, max_time=45.0)
+drive = builtin_driver(vehicle)
 evaluator = lambda ind: evaluate(ind, road_params, drive)
 
 print(f"{'variant':8s} {'T':>4s} {'P':>4s} {'I':>4s} {'F':>4s} "

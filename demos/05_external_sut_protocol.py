@@ -28,12 +28,12 @@ while len(roads) < 5:
 
 sut = SutDescriptor(
     kind="external",
-    command=f"{sys.executable} -m roadsearch.protocol --speed 25 --max-time 45",
+    command=f"{sys.executable} -m roadsearch.protocol --speed 25",
     timeout=120.0)
 
 print("road  in-process            behind the protocol")
 for i, road in enumerate(roads):
-    ref = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
+    ref = run_test(road, VehicleParams(speed=25.0))
     ext = external_evaluate(road, sut)
     print(f"{i:4d}  {ref.verdict:7s} {ref.max_oob:7.3f}%   "
           f"{ext.verdict:7s} {ext.max_oob:7.3f}%   "

@@ -142,7 +142,10 @@ def _cmd_render(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.runs < 1:
+        parser.error("--runs must be at least 1")
     try:
         if args.command == "run":
             return _cmd_run(args)

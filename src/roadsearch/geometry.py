@@ -49,9 +49,6 @@ class ControlPointSet:
             raise ValueError("control points must lie inside the map")
         self.points = pts
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def copy(self) -> "ControlPointSet":
         return ControlPointSet(self.points.copy(), self.map_size)
 

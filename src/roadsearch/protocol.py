@@ -11,9 +11,9 @@ Any other key of the reply (a ``trajectory``, say) is ignored.
 
 Spawn failures, timeouts and malformed replies each map to an INVALID
 result with a distinguishing error tag, so a broken SUT never kills a
-run. ``python -m roadsearch.protocol`` serves the built-in driver
-behind this exact protocol (used for differential testing and as a
-reference for writing real SUT adapters).
+run. ``python -m roadsearch.protocol`` judges each road with the
+built-in simulator behind this exact protocol (used for differential
+testing and as a reference for writing real SUT adapters).
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .road import RoadSpec, road_from_dict, road_to_dict
-from .search import builtin_driver
-from .simulator import (DT, FAIL, INVALID, MAX_TIME, PASS, TestResult, VehicleParams,
-                        invalid_result)
+from .search import builtin_driver, judge
+from .simulator import FAIL, INVALID, PASS, TestResult, VehicleParams, invalid_result
 
 __all__ = [
     "SutDescriptor",
@@ -139,8 +138,8 @@ def result_to_reply(result: TestResult) -> str:
 
 
 def serve_builtin(drive, stdin=None, stdout=None):
-    """Answer each road line with ``drive(road)`` until EOF; a line that
-    is not a road is answered INVALID with the protocol-error tag."""
+    """Answer each road line with ``judge(road, drive)`` until EOF; a line
+    that is not a road is answered INVALID with the protocol-error tag."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     for line in stdin:
@@ -148,7 +147,7 @@ def serve_builtin(drive, stdin=None, stdout=None):
         if not line:
             continue
         try:
-            result = drive(road_from_dict(json.loads(line)))
+            result = judge(road_from_dict(json.loads(line)), drive)
         except (ValueError, KeyError, TypeError):
             result = invalid_result(ERR_PROTOCOL)
         stdout.write(result_to_reply(result) + "\n")
@@ -163,14 +162,12 @@ def main(argv=None) -> int:
         description="Serve the built-in simulator behind the line protocol.",
     )
     parser.add_argument("--speed", type=float, default=VehicleParams().speed)
-    parser.add_argument("--dt", type=float, default=DT)
-    parser.add_argument("--max-time", type=float, default=MAX_TIME)
     args = parser.parse_args(argv)
     try:
-        drive = builtin_driver(VehicleParams(speed=args.speed), args.dt, args.max_time)
+        vparams = VehicleParams(speed=args.speed)
     except ValueError as exc:
         parser.error(str(exc))
-    serve_builtin(drive)
+    serve_builtin(builtin_driver(vparams))
     return 0
 
 

@@ -20,7 +20,7 @@ from . import __version__
 from .geometry import ControlPointSet
 from .road import RoadParams, RoadSpec, build_road
 from .search import RunReport, builtin_driver, judge
-from .simulator import DT, FAIL, MAX_TIME, TestResult, VehicleParams, run_test
+from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
 from .config import serialize_config
 
@@ -54,14 +54,11 @@ class ReplayDivergence(RuntimeError):
 
 
 def archive_to_dict(report: RunReport, road_params: RoadParams,
-                    vparams: VehicleParams, sut: SutDescriptor,
-                    dt: float = DT, max_time: float = MAX_TIME) -> dict:
+                    vparams: VehicleParams, sut: SutDescriptor) -> dict:
     cfg = serialize_config(report.config, road_params, vparams, sut)
     return {
         "version": __version__,
         "config": cfg,
-        "dt": dt,
-        "max_time": max_time,
         "records": [
             {
                 "id": r.id,
@@ -103,8 +100,7 @@ def write_summary_csv(rows, path):
 
 
 def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
-                 vparams: VehicleParams, sut: SutDescriptor,
-                 dt: float = DT, max_time: float = MAX_TIME, run_id=1) -> dict:
+                 vparams: VehicleParams, sut: SutDescriptor, run_id=1) -> dict:
     """Emit archive + summary + failure SVGs for one run.
 
     Returns a dict of the written paths; the SVGs are those of
@@ -114,7 +110,7 @@ def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    archive = archive_to_dict(report, road_params, vparams, sut, dt, max_time)
+    archive = archive_to_dict(report, road_params, vparams, sut)
     archive_path = out / f"run{run_id:02d}.json"
     with open(archive_path, "w", encoding="utf-8") as fh:
         json.dump(archive, fh)
@@ -142,8 +138,8 @@ def _archive_params(archive: dict):
     road_params = RoadParams(**cfg["road"])
     vparams = VehicleParams(**cfg["vehicle"])
     sut = SutDescriptor(**cfg["sut"])
-    timing = {"dt": archive.get("dt", DT), "max_time": archive.get("max_time", MAX_TIME)}
-    return road_params, vparams, sut, timing
+    # ignores an older archive's "dt" and "max_time": they always held DT and MAX_TIME
+    return road_params, vparams, sut
 
 
 def _record_road(record: dict, road_params: RoadParams) -> RoadSpec:
@@ -160,7 +156,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     """
     if not isinstance(archive, dict):
         archive = load_archive(archive)
-    road_params, vparams, sut, timing = _archive_params(archive)
+    road_params, vparams, sut = _archive_params(archive)
     record = next((r for r in archive["records"] if r["id"] == test_id), None)
     if record is None:
         raise ValueError(f"archive has no test {test_id}")
@@ -175,7 +171,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
                 f"SUT command mismatch: archive used {sut.command!r}")
         drive = lambda road: external_evaluate(road, sut)
     else:
-        drive = builtin_driver(vparams, **timing)
+        drive = builtin_driver(vparams)
     result = judge(_record_road(record, road_params), drive)
 
     stored = (record["verdict"], float(record["fitness"]))
@@ -192,7 +188,7 @@ def render_failures(archive: dict, out_dir, prefix: str = "") -> list:
     Trajectories are re-simulated with the built-in SUT; for
     external-SUT archives only the road geometry is drawn.
     """
-    road_params, vparams, sut, timing = _archive_params(archive)
+    road_params, vparams, sut = _archive_params(archive)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -200,7 +196,7 @@ def render_failures(archive: dict, out_dir, prefix: str = "") -> list:
         if rec["verdict"] != FAIL:
             continue
         road = _record_road(rec, road_params)
-        result = run_test(road, vparams, **timing) if sut.kind == "builtin" else None
+        result = run_test(road, vparams) if sut.kind == "builtin" else None
         path = out / f"{prefix}fail_{rec['id']:04d}.svg"
         render_test_svg(road, result, path,
                         title=f"test {rec['id']}: fitness {rec['fitness']:.1f}")

@@ -17,6 +17,7 @@ the population's average pairwise Frechet distance.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,18 +26,7 @@ import numpy as np
 
 from .geometry import ControlPointSet, frechet_pairs
 from .road import RoadParams, RoadSpec, build_road, validate
-from .simulator import (
-    DT,
-    FAIL,
-    INVALID,
-    MAX_TIME,
-    PASS,
-    TestResult,
-    VehicleParams,
-    check_timing,
-    invalid_result,
-    run_test,
-)
+from .simulator import FAIL, INVALID, PASS, TestResult, VehicleParams, invalid_result, run_test
 
 __all__ = [
     "SearchConfig",
@@ -116,6 +106,12 @@ class SearchConfig:
         for name in ("mutation_prob", "crossover_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        # each elite replaces one child, so there can be no more elites than children
+        if self.elitism > self.population_size:
+            raise ValueError("elitism must be <= population_size")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays
@@ -158,9 +154,6 @@ class FailureArchive:
     def __init__(self):
         self.failures: list[Individual] = []
         self._matrix: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.failures)
 
     def add(self, ind: Individual):
         if ind.verdict != FAIL:
@@ -209,15 +202,10 @@ def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
             return ind
 
 
-def builtin_driver(vparams: VehicleParams, dt: float = DT,
-                   max_time: float = MAX_TIME) -> Driver:
-    """Driver over the built-in simulator. A ``dt`` or ``max_time`` that
-    is not finite and positive raises ValueError here, once, rather than
-    when the first road is driven."""
-    check_timing(dt, max_time)
-
+def builtin_driver(vparams: VehicleParams) -> Driver:
+    """Driver over the built-in simulator."""
     def drive(road: RoadSpec) -> TestResult:
-        return run_test(road, vparams, dt=dt, max_time=max_time)
+        return run_test(road, vparams)
     return drive
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "VehicleParams",
     "VehicleState",
     "TestResult",
-    "check_timing",
     "step",
     "pure_pursuit",
     "oob_percent",
@@ -42,6 +41,7 @@ FAIL = "FAIL"
 INVALID = "INVALID"
 
 OOB_FAIL_THRESHOLD = 95.0
+# the Euler step and the time cap of every drive, in seconds
 DT = 0.05
 MAX_TIME = 120.0
 
@@ -105,40 +105,30 @@ def invalid_result(error: str | None = None) -> TestResult:
     return TestResult(verdict=INVALID, max_oob=0.0, completed=False, error=error)
 
 
-def check_timing(dt: float, max_time: float) -> None:
-    """Raise ValueError unless the step and the time limit are finite and
-    positive."""
-    for name, value in (("dt", dt), ("max_time", max_time)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _wrap_angle(a: float) -> float:
     # (-pi, pi]
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
-def step(state: VehicleState, steer_cmd: float, params: VehicleParams, dt: float) -> VehicleState:
-    """One Euler step of the kinematic bicycle model.
+def step(state: VehicleState, steer_cmd: float, params: VehicleParams) -> VehicleState:
+    """One Euler step of ``DT`` seconds of the kinematic bicycle model.
 
     The steer command is clamped to +-max_steer and the applied steer can
-    move at most steer_rate*dt per step from its previous value; the
-    position advances by exactly speed*dt along the current heading, and
-    the heading turns by (speed*dt / wheelbase) * tan(steer).
+    move at most steer_rate*DT per step from its previous value; the
+    position advances by exactly speed*DT along the current heading, and
+    the heading turns by (speed*DT / wheelbase) * tan(steer).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     x, y = state.position.tolist()
     if not (math.isfinite(steer_cmd) and math.isfinite(state.heading)
             and math.isfinite(x) and math.isfinite(y)):
         raise ValueError("non-finite state or steer command")
     target = min(params.max_steer, max(-params.max_steer, steer_cmd))
-    slew = params.steer_rate * dt
+    slew = params.steer_rate * DT
     steer = state.steer + min(slew, max(-slew, target - state.steer))
-    ds = params.speed * dt
+    ds = params.speed * DT
     position = np.array([x + ds * math.cos(state.heading), y + ds * math.sin(state.heading)])
     heading = _wrap_angle(state.heading + ds / params.wheelbase * math.tan(steer))
-    return VehicleState(position, heading, steer, state.time + dt)
+    return VehicleState(position, heading, steer, state.time + DT)
 
 
 class _Path:
@@ -385,25 +375,21 @@ def oob_percent(state: VehicleState, strip: _LaneStrip, params: VehicleParams) -
     return min(out, 100.0)
 
 
-def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
-             dt: float = DT, max_time: float = MAX_TIME) -> TestResult:
+def run_test(road: RoadSpec, vparams: VehicleParams | None = None) -> TestResult:
     """Drive the road and judge it.
 
     The vehicle starts on the right-lane center, far enough in that its
     body is fully on the strip, and the run ends when the front would pass
-    the road end, when ``max_time`` is up, or immediately after the
+    the road end, when ``MAX_TIME`` is up, or immediately after the
     out-of-bounds percentage exceeds the failure threshold.
 
     Callers must validate the road first; invalid roads never get here.
-    Raises ValueError for a ``dt`` or ``max_time`` that is not finite and
-    positive.
     """
-    check_timing(dt, max_time)
     vp = vparams or VehicleParams()
     path = _Path(0.5 * (road.centerline + road.right_boundary))
     start_s = 0.5 * (vp.length - vp.wheelbase)  # rear overhang behind the rear axle
     # front overhang plus one step, so the recorded body never passes the end
-    end_margin = 0.5 * (vp.length + vp.wheelbase) + vp.speed * dt
+    end_margin = 0.5 * (vp.length + vp.wheelbase) + vp.speed * DT
 
     x0, y0 = _point_at_arclength(path, start_s)
     ahead_x, ahead_y = _point_at_arclength(path, start_s + 1.0)
@@ -421,7 +407,7 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
         if s >= path.total - end_margin:
             completed = True
             break
-        state = step(state, steer, vp, dt)
+        state = step(state, steer, vp)
         oob = oob_percent(state, strip, vp)
         trajectory.append(state)
         oob_trace.append(oob)
@@ -429,7 +415,7 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None,
             max_oob = oob
         if oob > OOB_FAIL_THRESHOLD:
             break
-        if state.time >= max_time - 0.5 * dt:
+        if state.time >= MAX_TIME - 0.5 * DT:
             break
 
     verdict = FAIL if max_oob > OOB_FAIL_THRESHOLD else PASS

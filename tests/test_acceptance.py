@@ -40,7 +40,6 @@ from geometry_oracles import bezier_point, frechet_bruteforce
 SEEDS = (1, 2, 3, 4, 5)
 ROAD_PARAMS = RoadParams()
 VEHICLE_25 = VehicleParams(speed=25.0)
-MAX_TIME = 45.0
 
 
 def report_line(num, text):
@@ -50,7 +49,7 @@ def report_line(num, text):
 @pytest.fixture(scope="module")
 def desk_runs():
     validity = lambda cps: validate(build_road(cps, ROAD_PARAMS)).valid
-    drive = builtin_driver(VEHICLE_25, max_time=MAX_TIME)
+    drive = builtin_driver(VEHICLE_25)
     evaluator = lambda ind: evaluate(ind, ROAD_PARAMS, drive)
     runs = {}
     t0 = time.perf_counter()
@@ -131,7 +130,7 @@ def test_3_simulator_sanity():
     state = VehicleState(np.zeros(2), 0.0, steer=delta)
     trail = [state.position.copy()]
     for _ in range(2000):
-        state = step(state, delta, vp, 0.05)
+        state = step(state, delta, vp)
         trail.append(state.position.copy())
     trail = np.array(trail)
     a = np.column_stack([2 * trail[:, 0], 2 * trail[:, 1], np.ones(len(trail))])
@@ -235,7 +234,7 @@ def test_7_report_fidelity(desk_runs, tmp_path):
     # archives replay to identical verdicts; SVGs well-formed
     report = runs["A", 1]
     paths = write_report(report, tmp_path, road_params=ROAD_PARAMS,
-                         vparams=VEHICLE_25, sut=sut, max_time=MAX_TIME)
+                         vparams=VEHICLE_25, sut=sut)
     archive = load_archive(paths["archive"])
     ids = [r["id"] for r in archive["records"]]
     rng = np.random.default_rng(0)
@@ -258,11 +257,11 @@ def test_8_protocol_differential():
             roads.append(road)
     sut = SutDescriptor(
         kind="external",
-        command=f"{sys.executable} -m roadsearch.protocol --speed 25 --max-time {MAX_TIME}",
+        command=f"{sys.executable} -m roadsearch.protocol --speed 25",
         timeout=120.0)
     worst = 0.0
     for road in roads:
-        ref = run_test(road, VEHICLE_25, max_time=MAX_TIME)
+        ref = run_test(road, VEHICLE_25)
         ext = external_evaluate(road, sut)
         assert ext.verdict == ref.verdict
         worst = max(worst, abs(ext.max_oob - ref.max_oob))

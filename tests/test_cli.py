@@ -78,6 +78,16 @@ class TestRun:
             main(["run", "--budget-evals", "5", "--budget-seconds", "2",
                   "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_is_usage_error(self, tmp_path, runs, capsys):
+        # --runs 0 used to run nothing and then fail to write summary.csv
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--budget-evals", "5", "--out", str(out), "--runs", runs])
+        assert exc.value.code == 2
+        assert "--runs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_novelty_flag(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--variant", "A", "--seed", "2",

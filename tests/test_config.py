@@ -83,6 +83,17 @@ class TestValidation:
             with pytest.raises(ConfigError, match=key):
                 parse_config_dict(read_config(path))
 
+    def test_search_settings_that_would_crash_the_run(self, tmp_path):
+        # a float seed used to die in numpy, too many elites in run_search
+        path = tmp_path / "cfg.json"
+        for text, key in (('{"search": {"seed": 1.5}}', "seed"),
+                          ('{"search": {"seed": -1}}', "seed"),
+                          ('{"search": {"seed": true}}', "seed"),
+                          ('{"search": {"population_size": 2, "elitism": 5}}', "elitism")):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=key):
+                parse_config_dict(read_config(path))
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="road"):
             parse_config_dict({"road": [1, 2, 3]})

@@ -92,25 +92,54 @@ class TestServeBuiltin:
         request = serialize_road_line(road)
         stdin = io.StringIO(request + "\n" + request + "\n")
         stdout = io.StringIO()
-        serve_builtin(builtin_driver(VehicleParams(speed=25.0), max_time=45.0),
-                      stdin, stdout)
+        serve_builtin(builtin_driver(VehicleParams(speed=25.0)), stdin, stdout)
         lines = [ln for ln in stdout.getvalue().splitlines() if ln]
         assert len(lines) == 2
-        direct = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
+        direct = run_test(road, VehicleParams(speed=25.0))
         for line in lines:
             reply = json.loads(line)
             assert reply["verdict"] == direct.verdict
             assert reply["max_oob"] == direct.max_oob
 
-    @pytest.mark.parametrize("argv", [["--dt", "0"], ["--dt", "nan"],
-                                      ["--max-time", "-5"], ["--max-time", "inf"],
-                                      ["--speed", "nan"]])
-    def test_bad_timing_exits_with_usage_error(self, argv, capsys):
-        # --dt 0 used to start serving and answer every road INVALID
+    @pytest.mark.parametrize("speed", ["nan", "inf", "0"])
+    def test_bad_speed_exits_with_usage_error(self, speed, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["--speed", speed])
         assert exc.value.code == 2
         assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_help_lists_only_speed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        flags = {word.strip("[],") for word in capsys.readouterr().out.split()
+                 if word.strip("[").startswith("--")}
+        assert flags == {"--help", "--speed"}
+
+    def test_invalid_roads_answered_without_driving(self):
+        # a finite but degenerate road line used to be driven and answered
+        # FAIL with max_oob 100; the server now validates like every caller
+        rp = RoadParams()
+        golden = {e["verdict"]: e for e in GOLDEN["entries"] if e["speed"] == 25.0}
+        too_sharp = build_road(ControlPointSet(golden["INVALID"]["points"], 200.0), rp)
+        road = build_road(ControlPointSet(golden["FAIL"]["points"], 200.0), rp)
+        degenerate = json.loads(serialize_road_line(road))
+        degenerate.update({key: [[0, 0], [0, 0]] for key in ALL_POINTS})
+        assert not validate(road_from_dict(degenerate)).valid
+        lines = [json.dumps(degenerate), serialize_road_line(too_sharp),
+                 serialize_road_line(road)]
+        driven = []
+        drive = builtin_driver(VehicleParams(speed=25.0))
+        stdout = io.StringIO()
+        serve_builtin(lambda r: driven.append(r) or drive(r),
+                      io.StringIO("".join(ln + "\n" for ln in lines)), stdout)
+        replies = [json.loads(ln) for ln in stdout.getvalue().splitlines()]
+        assert [r["verdict"] for r in replies] == [INVALID, INVALID, "FAIL"]
+        assert replies[0]["max_oob"] == replies[1]["max_oob"] == 0.0
+        assert len(driven) == 1
+        direct = drive(road)
+        assert (replies[2]["verdict"], replies[2]["max_oob"]) == \
+               (direct.verdict, direct.max_oob)
 
     def test_garbage_line_answered_invalid(self):
         stdin = io.StringIO("this is not a road\n")
@@ -132,7 +161,7 @@ class TestServeBuiltin:
         bad.update({key: points for key in keys})
         stdin = io.StringIO(json.dumps(bad) + "\n" + serialize_road_line(road) + "\n")
         stdout = io.StringIO()
-        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        drive = builtin_driver(VehicleParams(speed=25.0))
         serve_builtin(drive, stdin, stdout)
         replies = [json.loads(ln) for ln in stdout.getvalue().splitlines()]
         assert len(replies) == 2
@@ -162,12 +191,12 @@ class TestServerChild:
         rp = RoadParams()
         roads = [road for road in (build_road(ControlPointSet(e["points"], 200.0), rp)
                                    for e in GOLDEN["entries"]) if validate(road).valid][:12]
-        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        drive = builtin_driver(VehicleParams(speed=25.0))
         direct = [drive(road) for road in roads]
         assert {r.verdict for r in direct} == {"PASS", "FAIL"}
         src_root = Path(roadsearch.__file__).resolve().parents[1]
         proc = subprocess.run(
-            [PY, "-m", "roadsearch.protocol", "--speed", "25", "--max-time", "45"],
+            [PY, "-m", "roadsearch.protocol", "--speed", "25"],
             input="".join(serialize_road_line(road) + "\n" for road in roads),
             capture_output=True, text=True, timeout=300, cwd=tmp_path,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)})
@@ -183,10 +212,10 @@ class TestExternalEvaluate:
     def test_differential_against_in_process(self):
         road = valid_road()
         sut = SutDescriptor(kind="external",
-                            command=f"{PY} -m roadsearch.protocol --speed 25 --max-time 45",
+                            command=f"{PY} -m roadsearch.protocol --speed 25",
                             timeout=120.0)
         ext = external_evaluate(road, sut)
-        ref = run_test(road, VehicleParams(speed=25.0), max_time=45.0)
+        ref = run_test(road, VehicleParams(speed=25.0))
         assert ext.verdict == ref.verdict
         assert abs(ext.max_oob - ref.max_oob) <= 1e-9
 
@@ -252,13 +281,13 @@ class TestRunLevelEquivalence:
         rp = RoadParams()
         vp = VehicleParams(speed=25.0)
         cfg = SearchConfig(variant="B", max_evaluations=12, seed=4)
-        drive = builtin_driver(vp, max_time=45.0)
+        drive = builtin_driver(vp)
         direct = run_search(cfg, lambda ind: evaluate(ind, rp, drive))
 
         # the external driver exactly as `roadsearch run --sut` builds it
         sut = SutDescriptor(
             kind="external",
-            command=f"{PY} -m roadsearch.protocol --speed 25 --max-time 45",
+            command=f"{PY} -m roadsearch.protocol --speed 25",
             timeout=120.0)
         external = _driver(sut, vp)
         wrapped = run_search(cfg, lambda ind: evaluate(ind, rp, external))

@@ -11,6 +11,7 @@ from roadsearch.report import (
     ReplayDivergence,
     archive_to_dict,
     load_archive,
+    render_failures,
     replay,
     summary_row,
     write_report,
@@ -126,11 +127,10 @@ class TestWriteReport:
 @pytest.fixture(scope="module")
 def real_run(tmp_path_factory):
     cfg = SearchConfig(variant="A", max_evaluations=40, seed=6)
-    drive = builtin_driver(VP, max_time=45.0)
+    drive = builtin_driver(VP)
     report = run_search(cfg, lambda ind: evaluate(ind, RP, drive))
     out = tmp_path_factory.mktemp("run")
-    paths = write_report(report, out, road_params=RP, vparams=VP, sut=BUILTIN,
-                         dt=0.05, max_time=45.0)
+    paths = write_report(report, out, road_params=RP, vparams=VP, sut=BUILTIN)
     return report, paths
 
 
@@ -170,6 +170,25 @@ class TestReplay:
         archive = load_archive(old)
         for rec in archive["records"][:3]:
             assert replay(archive, rec["id"]).verdict == rec["verdict"]
+
+    def test_archive_with_timing_keys_replays_and_renders(self, real_run, tmp_path):
+        # archives written while the step and time cap were options carry
+        # them as top-level keys, always 0.05 and 120.0; they are ignored
+        _, paths = real_run
+        archive = load_archive(paths["archive"])
+        assert "dt" not in archive and "max_time" not in archive
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**archive, "dt": 0.05, "max_time": 120.0}))
+        old_archive = load_archive(old)
+        for rec in old_archive["records"][:3]:
+            assert replay(old_archive, rec["id"]).verdict == rec["verdict"]
+        fails = [r for r in old_archive["records"] if r["verdict"] == FAIL]
+        assert fails
+        assert replay(old_archive, fails[0]["id"]).verdict == FAIL
+        svgs = render_failures(old_archive, tmp_path / "old")
+        fresh = render_failures(archive, tmp_path / "new")
+        assert len(svgs) == len(fails)
+        assert [p.read_bytes() for p in svgs] == [p.read_bytes() for p in fresh]
 
     def test_tampered_record_diverges(self, tmp_path):
         # archive a straight road with a blatantly wrong stored fitness

@@ -105,6 +105,21 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(**bad)
 
+    def test_elitism_above_population_rejected(self):
+        # run_search used to raise IndexError once every parent beat every child
+        with pytest.raises(ValueError, match="elitism"):
+            SearchConfig(population_size=2, elitism=5)
+        assert SearchConfig(population_size=2, elitism=2).elitism == 2
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True, "1", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        # a float seed used to pass and crash the run inside numpy
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SearchConfig(seed=np.int64(3)).seed == 3
+
 
 class TestRandomIndividual:
     def test_shape_and_bounds(self):
@@ -164,14 +179,6 @@ class TestEvaluate:
         ind = make_ind(pts)
         evaluate(ind, RoadParams(), driven.append)
         assert ind.verdict == INVALID and driven == []
-
-    def test_bad_timing_rejected_when_driver_built(self):
-        # a NaN dt used to FAIL every road after one step, max_time=-5 to
-        # PASS it after one step, and dt=0 to turn every road INVALID
-        for dt, max_time in ((float("nan"), 120.0), (0.0, 120.0), (-0.05, 120.0),
-                             (0.05, -5.0), (0.05, float("inf"))):
-            with pytest.raises(ValueError, match="dt|max_time"):
-                builtin_driver(VehicleParams(), dt=dt, max_time=max_time)
 
     def test_double_evaluate_rejected(self):
         ind = make_ind(WIGGLY_POINTS, fitness=1.0, verdict=PASS)
@@ -507,7 +514,7 @@ class TestRunSearch:
 
     def test_reproducible_with_builtin_evaluator(self):
         cfg = SearchConfig(variant="B", max_evaluations=30, seed=8)
-        drive = builtin_driver(VehicleParams(speed=25.0), max_time=45.0)
+        drive = builtin_driver(VehicleParams(speed=25.0))
         ev = lambda ind: evaluate(ind, RoadParams(), drive)
         r1 = run_search(cfg, ev)
         r2 = run_search(cfg, ev)
