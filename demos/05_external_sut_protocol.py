@@ -27,7 +27,6 @@ while len(roads) < 5:
         roads.append(road)
 
 sut = SutDescriptor(
-    kind="external",
     command=f"{sys.executable} -m roadsearch.protocol --speed 25",
     timeout=120.0)
 
@@ -40,8 +39,7 @@ for i, road in enumerate(roads):
           f"identical={ext.max_oob == ref.max_oob}")
 
 # a misbehaving SUT does not kill the run
-broken = SutDescriptor(kind="external",
-                       command=f"{sys.executable} -c 'print(\"gibberish\")'",
+broken = SutDescriptor(command=f"{sys.executable} -c 'print(\"gibberish\")'",
                        timeout=30.0)
 result = external_evaluate(roads[0], broken)
 print(f"\ngibberish SUT -> verdict {result.verdict}, error tag {result.error!r}")

@@ -42,6 +42,3 @@ from .search import (
     run_search,
     select,
 )
-from .protocol import SutDescriptor, external_evaluate
-from .config import ConfigError, serialize_config
-from .report import ReplayDivergence, render_test_svg, replay, write_report

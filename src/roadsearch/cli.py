@@ -5,9 +5,9 @@
     roadsearch replay --archive results/run01.json --test 42
     roadsearch render --archive results/run01.json --out svgs/
 
-``--sut "<command>"`` swaps the built-in simulator for an external
-system under test spoken to over the line protocol. The environment
-variable ``ROADSEARCH_LOG`` (DEBUG/INFO/WARNING/...) controls verbosity.
+``--sut "<command>"``, like ``sut.command`` in the config file, drives an
+external system under test over the line protocol. Flags replace file
+keys; ``ROADSEARCH_LOG`` (DEBUG/INFO/WARNING/...) controls verbosity.
 Exit code 0 on success, 1 on configuration, protocol or replay errors.
 """
 from __future__ import annotations
@@ -73,34 +73,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _driver(sut: SutDescriptor, vparams) -> Driver:
-    if sut.kind == "external":
+    if sut.command is not None:
         return lambda road: external_evaluate(road, sut)
     return builtin_driver(vparams)
 
 
 def _cmd_run(args) -> int:
-    data = read_config(args.config) if args.config else {}
-    search_cfg, road_params, vparams, sut = parse_config_dict(data)
-
-    overrides = {}
-    if args.variant:
-        overrides["variant"] = args.variant
-        if data.get("search", {}).get("population_size") is None:
-            overrides["population_size"] = None  # the variant's default
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # a flag left out (None, or False for --novelty) keeps the config file's value
+    flags = {"variant": args.variant, "seed": args.seed, "novelty_filter": args.novelty or None}
+    search = {key: value for key, value in flags.items() if value is not None}
     if args.budget_evals is not None:
-        overrides.update(max_evaluations=args.budget_evals, wall_time=None)
+        search.update(max_evaluations=args.budget_evals, wall_time=None)
     if args.budget_seconds is not None:
-        overrides.update(max_evaluations=None, wall_time=args.budget_seconds)
-    if args.novelty:
-        overrides["novelty_filter"] = True
-    if overrides:
-        base = dataclasses.asdict(search_cfg)
-        base.update(overrides)
-        search_cfg = type(search_cfg)(**base)
-    if args.sut:
-        sut = SutDescriptor(kind="external", command=args.sut, timeout=sut.timeout)
+        search.update(max_evaluations=None, wall_time=args.budget_seconds)
+    overrides = {"search": search, "sut": {} if args.sut is None else {"command": args.sut}}
+    data = read_config(args.config) if args.config else {}
+    search_cfg, road_params, vparams, sut = parse_config_dict(data, overrides)
 
     drive = _driver(sut, vparams)
     evaluator = lambda ind: evaluate(ind, road_params, drive)

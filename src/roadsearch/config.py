@@ -39,11 +39,12 @@ def _allowed_keys(section: str) -> set:
     return {f.name for f in fields(cls)} - _HIDDEN.get(section, set())
 
 
-def parse_config_dict(data: dict):
+def parse_config_dict(data: dict, overrides: dict | None = None):
     """Validate a config dictionary.
 
     Returns ``(SearchConfig, RoadParams, VehicleParams, SutDescriptor)``
-    with every omitted key at its documented default.
+    with every omitted key at its documented default. ``overrides`` maps a
+    section to settings laid over the file's (the command-line flags).
     """
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -62,7 +63,7 @@ def parse_config_dict(data: dict):
             key = sorted(unknown)[0]
             raise ConfigError(f"{section}.{key}: unknown key")
         try:
-            parsed[section] = cls(**raw)
+            parsed[section] = cls(**{**raw, **(overrides or {}).get(section, {})})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 

@@ -43,9 +43,6 @@ ERR_SPAWN = "spawn-error"
 ERR_TIMEOUT = "timeout"
 ERR_PROTOCOL = "protocol-error"
 
-BUILTIN = "builtin"
-EXTERNAL = "external"
-
 # stderr lines of a misbehaving SUT that go into the warning
 STDERR_TAIL_LINES = 5
 
@@ -54,15 +51,20 @@ log = logging.getLogger("roadsearch")
 
 @dataclass
 class SutDescriptor:
-    kind: str = BUILTIN
+    """The system under test: external exactly when ``command`` is set."""
+
     command: str | None = None
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.kind not in (BUILTIN, EXTERNAL):
-            raise ValueError(f"kind must be '{BUILTIN}' or '{EXTERNAL}'")
-        if self.kind == EXTERNAL and not self.command:
-            raise ValueError("external SUT requires a command")
+        # a command that names no program would fail only at the first driven road
+        if self.command is not None:
+            try:
+                words = shlex.split(self.command) if isinstance(self.command, str) else []
+            except ValueError:  # an unclosed quote
+                words = []
+            if not words:
+                raise ValueError(f"command {self.command!r} names no program")
         # a NaN or infinite timeout would abort the first driven road
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError("timeout must be positive and finite")
@@ -100,8 +102,8 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
     the status and the tail of the child's stderr; the verdict is still
     the reply's.
     """
-    if sut.kind != EXTERNAL:
-        raise ValueError("external_evaluate needs an external SutDescriptor")
+    if sut.command is None:
+        raise ValueError("external_evaluate needs a SUT command")
     request = serialize_road_line(road) + "\n"
     try:
         proc = subprocess.run(

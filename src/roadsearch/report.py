@@ -22,7 +22,7 @@ from .road import RoadParams, RoadSpec, build_road
 from .search import RunReport, builtin_driver, judge
 from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
-from .config import serialize_config
+from .config import parse_config_dict, serialize_config
 
 __all__ = [
     "ReplayDivergence",
@@ -134,11 +134,12 @@ def load_archive(path) -> dict:
 
 
 def _archive_params(archive: dict):
-    cfg = archive["config"]
-    road_params = RoadParams(**cfg["road"])
-    vparams = VehicleParams(**cfg["vehicle"])
-    sut = SutDescriptor(**cfg["sut"])
-    # ignores an older archive's "dt" and "max_time": they always held DT and MAX_TIME
+    # read like a config file; an older archive's "dt" and "max_time" are ignored
+    # and its sut.kind dropped: a "builtin" one was driven by the built-in simulator
+    sut = dict(archive["config"]["sut"])
+    if sut.pop("kind", None) == "builtin":
+        sut.pop("command", None)
+    _, road_params, vparams, sut = parse_config_dict({**archive["config"], "sut": sut})
     return road_params, vparams, sut
 
 
@@ -161,7 +162,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     if record is None:
         raise ValueError(f"archive has no test {test_id}")
 
-    if sut.kind == "external":
+    if sut.command is not None:
         if sut_command is None:
             raise ValueError(
                 "archive was recorded against an external SUT; "
@@ -196,7 +197,7 @@ def render_failures(archive: dict, out_dir, prefix: str = "") -> list:
         if rec["verdict"] != FAIL:
             continue
         road = _record_road(rec, road_params)
-        result = run_test(road, vparams) if sut.kind == "builtin" else None
+        result = run_test(road, vparams) if sut.command is None else None
         path = out / f"{prefix}fail_{rec['id']:04d}.svg"
         render_test_svg(road, result, path,
                         title=f"test {rec['id']}: fitness {rec['fitness']:.1f}")

@@ -9,6 +9,7 @@ before any simulation is spent on it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -61,8 +62,9 @@ class RoadParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.num_samples) and self.num_samples >= 2):
-            raise ValueError("num_samples must be >= 2")
+        if (isinstance(self.num_samples, bool)
+                or not isinstance(self.num_samples, numbers.Integral) or self.num_samples < 2):
+            raise ValueError("num_samples must be an integer >= 2")
         if self.overlap_buffer is None:
             self.overlap_buffer = 2.0 * self.lane_width
         if not (math.isfinite(self.overlap_buffer) and self.overlap_buffer >= 0):

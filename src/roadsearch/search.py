@@ -91,14 +91,16 @@ class SearchConfig:
             self.max_evaluations = 300
         if self.max_evaluations is not None and self.wall_time is not None:
             raise ValueError("give max_evaluations or wall_time, not both")
-        # NaN fails every bound and inf every isfinite: a NaN or infinite
-        # budget would never run out
+        # a float count or seed crashes range() or numpy mid-run, and a NaN or
+        # inf budget never runs out; max_evaluations is None under a wall_time
         lower = {"population_size": 2, "num_control_points": 3, "max_evaluations": 1,
-                 "tournament_size": 1, "elitism": 0}
+                 "tournament_size": 1, "elitism": 0, "seed": 0}
         for name, low in lower.items():
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= low):
-                raise ValueError(f"{name} must be finite and >= {low}")
+            if value is None and name == "max_evaluations":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         for name in ("wall_time", "mutation_range", "map_size"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -109,9 +111,6 @@ class SearchConfig:
         # each elite replaces one child, so there can be no more elites than children
         if self.elitism > self.population_size:
             raise ValueError("elitism must be <= population_size")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays

@@ -256,7 +256,6 @@ def test_8_protocol_differential():
         if validate(road).valid:
             roads.append(road)
     sut = SutDescriptor(
-        kind="external",
         command=f"{sys.executable} -m roadsearch.protocol --speed 25",
         timeout=120.0)
     worst = 0.0

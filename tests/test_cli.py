@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 import roadsearch
 from roadsearch.cli import main
+from roadsearch.geometry import ControlPointSet
+from roadsearch.road import RoadParams, build_road, validate
 
 
 def read_summary(path):
@@ -86,6 +89,39 @@ class TestRun:
             main(["run", "--budget-evals", "5", "--out", str(out), "--runs", runs])
         assert exc.value.code == 2
         assert "--runs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_command_drives_the_external_sut(self, tmp_path):
+        # a sut section with a command is an external SUT; the built-in
+        # simulator used to drive such a run and archive its command
+        stub = tmp_path / "stub.py"
+        stub.write_text('import sys\n'
+                        'sys.stdin.readline()\n'
+                        'print(\'{"verdict": "FAIL", "max_oob": 99.0}\')\n')
+        cfg = tmp_path / "cfg.json"
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(stub))}"
+        cfg.write_text(json.dumps({"sut": {"command": command}}))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--variant", "A", "--seed", "1",
+                     "--budget-evals", "8", "--out", str(out)])
+        assert code == 0
+        archive = json.load(open(out / "run01.json"))
+        assert archive["config"]["sut"] == {"command": command, "timeout": 30.0}
+        rp = RoadParams()
+        valid = [r for r in archive["records"]
+                 if validate(build_road(ControlPointSet(r["genotype"], 200.0), rp)).valid]
+        assert valid
+        assert all((r["verdict"], r["fitness"]) == ("FAIL", 99.0) for r in valid)
+
+    @pytest.mark.parametrize("command", [" ", '"x'])
+    def test_sut_naming_no_program_fails_before_searching(self, tmp_path, command,
+                                                          capsys):
+        # " " used to die inside subprocess with an IndexError traceback, an
+        # unclosed quote only once the search had started
+        out = tmp_path / "out"
+        code = main(["run", "--budget-evals", "5", "--out", str(out), "--sut", command])
+        assert code == 1
+        assert "names no program" in capsys.readouterr().err
         assert not out.exists()
 
     def test_novelty_flag(self, tmp_path):

@@ -22,7 +22,7 @@ class TestDefaults:
         assert road.map_size == 200.0
         assert road.overlap_buffer == 8.0
         assert vehicle.speed == 12.0
-        assert sut.kind == "builtin"
+        assert sut.command is None
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -58,8 +58,11 @@ class TestValidation:
             parse_config_dict({"search": {"map_size": 100.0}})
 
     def test_external_sut_needs_command(self):
-        with pytest.raises(ConfigError, match="command"):
+        # a SUT is external exactly when it has a command; "kind" is no key
+        with pytest.raises(ConfigError, match=r"sut\.kind"):
             parse_config_dict({"sut": {"kind": "external"}})
+        with pytest.raises(ConfigError, match=r"sut\.kind"):
+            parse_config_dict({"sut": {"kind": "builtin", "command": "cat"}})
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -84,12 +87,21 @@ class TestValidation:
                 parse_config_dict(read_config(path))
 
     def test_search_settings_that_would_crash_the_run(self, tmp_path):
-        # a float seed used to die in numpy, too many elites in run_search
+        # a float seed used to die in numpy, too many elites in run_search,
+        # a float count in range() or numpy
         path = tmp_path / "cfg.json"
         for text, key in (('{"search": {"seed": 1.5}}', "seed"),
                           ('{"search": {"seed": -1}}', "seed"),
                           ('{"search": {"seed": true}}', "seed"),
-                          ('{"search": {"population_size": 2, "elitism": 5}}', "elitism")):
+                          ('{"search": {"population_size": 2, "elitism": 5}}', "elitism"),
+                          ('{"search": {"population_size": 2.5}}', "population_size"),
+                          ('{"search": {"tournament_size": 2.5}}', "tournament_size"),
+                          ('{"search": {"num_control_points": 4.5}}', "num_control_points"),
+                          ('{"search": {"elitism": 1.5}}', "elitism"),
+                          ('{"search": {"max_evaluations": 60.5}}', "max_evaluations"),
+                          ('{"search": {"population_size": true}}', "population_size"),
+                          ('{"road": {"num_samples": 50.5}}', "num_samples"),
+                          ('{"road": {"num_samples": true}}', "num_samples")):
             path.write_text(text)
             with pytest.raises(ConfigError, match=key):
                 parse_config_dict(read_config(path))
@@ -106,7 +118,7 @@ class TestRoundTrip:
                        "max_evaluations": 500},
             "road": {"lane_width": 3.5, "map_size": 300.0},
             "vehicle": {"speed": 25.0, "lookahead": 10.0},
-            "sut": {"kind": "external", "command": "cat", "timeout": 5.0},
+            "sut": {"command": "cat", "timeout": 5.0},
         }
         parsed = parse_config_dict(data)
         again = parse_config_dict(serialize_config(*parsed))

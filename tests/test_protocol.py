@@ -43,23 +43,23 @@ def valid_road(seed=3):
 
 
 class TestSutDescriptor:
-    def test_external_requires_command(self):
-        with pytest.raises(ValueError):
-            SutDescriptor(kind="external")
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            SutDescriptor(kind="remote")
-
     def test_builtin_default(self):
-        assert SutDescriptor().kind == "builtin"
+        # no command means the built-in simulator
+        assert SutDescriptor().command is None
+
+    @pytest.mark.parametrize("command", [" ", "", '"x', 5])
+    def test_command_must_name_a_program(self, command):
+        # " " used to die in subprocess with an IndexError and an unclosed
+        # quote to fail only at the first driven road
+        with pytest.raises(ValueError, match="names no program"):
+            SutDescriptor(command=command)
 
     @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
     def test_timeout_must_be_positive_and_finite(self, timeout):
         # NaN and inf used to pass here and abort the run at the first
         # driven road, inside subprocess.run
         with pytest.raises(ValueError, match="timeout"):
-            SutDescriptor(kind="external", command="cat", timeout=timeout)
+            SutDescriptor(command="cat", timeout=timeout)
 
 
 class TestReplyParsing:
@@ -201,6 +201,9 @@ class TestServerChild:
             capture_output=True, text=True, timeout=300, cwd=tmp_path,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root)})
         assert proc.returncode == 0, proc.stderr
+        # the child runs protocol.py once, so no RuntimeWarning about a
+        # module found in sys.modules before its execution
+        assert proc.stderr == ""
         replies = [parse_reply(ln) for ln in proc.stdout.splitlines()]
         assert len(replies) == len(roads)
         for reply, ref in zip(replies, direct):
@@ -211,8 +214,7 @@ class TestServerChild:
 class TestExternalEvaluate:
     def test_differential_against_in_process(self):
         road = valid_road()
-        sut = SutDescriptor(kind="external",
-                            command=f"{PY} -m roadsearch.protocol --speed 25",
+        sut = SutDescriptor(command=f"{PY} -m roadsearch.protocol --speed 25",
                             timeout=120.0)
         ext = external_evaluate(road, sut)
         ref = run_test(road, VehicleParams(speed=25.0))
@@ -221,14 +223,13 @@ class TestExternalEvaluate:
 
     def test_garbage_reply_flagged(self):
         road = valid_road()
-        sut = SutDescriptor(kind="external", command=f"{PY} -c 'print(42)'",
+        sut = SutDescriptor(command=f"{PY} -c 'print(42)'",
                             timeout=60.0)
         r = external_evaluate(road, sut)
         assert r.verdict == INVALID and r.error == ERR_PROTOCOL
 
     def test_failing_child_logged_with_status_and_stderr(self, caplog):
         sut = SutDescriptor(
-            kind="external",
             command=f"{PY} -c 'import sys; sys.stderr.write(\"boom\\n\"); sys.exit(3)'",
             timeout=60.0)
         with caplog.at_level(logging.WARNING, logger="roadsearch"):
@@ -245,7 +246,7 @@ class TestExternalEvaluate:
         script.write_text('import sys\n'
                           'print(\'{"verdict": "PASS", "max_oob": 1.5}\')\n'
                           'sys.exit(2)\n')
-        sut = SutDescriptor(kind="external", command=f"{PY} {script}", timeout=60.0)
+        sut = SutDescriptor(command=f"{PY} {script}", timeout=60.0)
         with caplog.at_level(logging.WARNING, logger="roadsearch"):
             r = external_evaluate(valid_road(), sut)
         assert r.verdict == "PASS" and r.max_oob == 1.5 and r.error is None
@@ -253,15 +254,14 @@ class TestExternalEvaluate:
 
     def test_timeout_flagged(self):
         road = valid_road()
-        sut = SutDescriptor(kind="external",
-                            command=f"{PY} -c 'import time; time.sleep(60)'",
+        sut = SutDescriptor(command=f"{PY} -c 'import time; time.sleep(60)'",
                             timeout=1.0)
         r = external_evaluate(road, sut)
         assert r.verdict == INVALID and r.error == ERR_TIMEOUT
 
     def test_spawn_failure_flagged(self):
         road = valid_road()
-        sut = SutDescriptor(kind="external", command="no-such-binary-zq9",
+        sut = SutDescriptor(command="no-such-binary-zq9",
                             timeout=5.0)
         r = external_evaluate(road, sut)
         assert r.verdict == INVALID and r.error == ERR_SPAWN
@@ -286,7 +286,6 @@ class TestRunLevelEquivalence:
 
         # the external driver exactly as `roadsearch run --sut` builds it
         sut = SutDescriptor(
-            kind="external",
             command=f"{PY} -m roadsearch.protocol --speed 25",
             timeout=120.0)
         external = _driver(sut, vp)

@@ -173,12 +173,15 @@ class TestReplay:
 
     def test_archive_with_timing_keys_replays_and_renders(self, real_run, tmp_path):
         # archives written while the step and time cap were options carry
-        # them as top-level keys, always 0.05 and 120.0; they are ignored
+        # them as top-level keys, always 0.05 and 120.0, and older ones a
+        # sut.kind; all three are ignored
         _, paths = real_run
         archive = load_archive(paths["archive"])
         assert "dt" not in archive and "max_time" not in archive
+        assert "kind" not in archive["config"]["sut"]
+        config = {**archive["config"], "sut": {"kind": "builtin", **archive["config"]["sut"]}}
         old = tmp_path / "old.json"
-        old.write_text(json.dumps({**archive, "dt": 0.05, "max_time": 120.0}))
+        old.write_text(json.dumps({**archive, "config": config, "dt": 0.05, "max_time": 120.0}))
         old_archive = load_archive(old)
         for rec in old_archive["records"][:3]:
             assert replay(old_archive, rec["id"]).verdict == rec["verdict"]
@@ -189,6 +192,26 @@ class TestReplay:
         fresh = render_failures(archive, tmp_path / "new")
         assert len(svgs) == len(fails)
         assert [p.read_bytes() for p in svgs] == [p.read_bytes() for p in fresh]
+
+    def test_builtin_kind_archive_ignores_its_command(self, real_run, tmp_path):
+        # an archive whose sut says "builtin" was driven by the built-in
+        # simulator, whatever command it also holds
+        _, paths = real_run
+        archive = load_archive(paths["archive"])
+        sut = {"kind": "builtin", "command": "false", "timeout": 30.0}
+        old = {**archive, "config": {**archive["config"], "sut": sut}}
+        fails = [r for r in old["records"] if r["verdict"] == FAIL]
+        assert fails
+        for rec in old["records"][:3] + fails[:1]:
+            assert replay(old, rec["id"]).verdict == rec["verdict"]
+        svgs = render_failures(old, tmp_path / "old")
+        fresh = render_failures(archive, tmp_path / "new")
+        assert [p.read_bytes() for p in svgs] == [p.read_bytes() for p in fresh]
+        # an "external" kind keeps its command, so replay asks for it
+        external = {**archive, "config": {**archive["config"],
+                                          "sut": {**sut, "kind": "external"}}}
+        with pytest.raises(ValueError, match="external SUT"):
+            replay(external, 0)
 
     def test_tampered_record_diverges(self, tmp_path):
         # archive a straight road with a blatantly wrong stored fitness
@@ -210,7 +233,7 @@ class TestReplay:
 
     def test_external_archive_refuses_without_command(self, tmp_path):
         report = stub_report([0.0])
-        ext = SutDescriptor(kind="external", command="some-sut --flag",
+        ext = SutDescriptor(command="some-sut --flag",
                             timeout=5.0)
         archive = archive_to_dict(report, RP, VP, ext)
         with pytest.raises(ValueError, match="external SUT"):

@@ -39,6 +39,8 @@ class TestRoadParams:
             RoadParams(lane_width=0)
         with pytest.raises(ValueError):
             RoadParams(num_samples=1)
+        with pytest.raises(ValueError, match="integer"):
+            RoadParams(num_samples=50.5)  # used to crash numpy mid-run
         with pytest.raises(ValueError):
             RoadParams(min_radius=-1)
 

@@ -99,6 +99,10 @@ class TestSearchConfig:
         {"mutation_range": math.nan}, {"mutation_range": math.inf},
         {"elitism": math.nan}, {"elitism": math.inf},
         {"map_size": math.nan}, {"map_size": math.inf},
+        # a float count crashes range() or numpy mid-run
+        {"population_size": 2.5}, {"population_size": 25.0},
+        {"num_control_points": 4.5}, {"max_evaluations": 60.5},
+        {"tournament_size": 2.5}, {"elitism": 1.5}, {"elitism": True},
     ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
     def test_non_finite_rejected(self, bad):
         # a NaN wall_time or max_evaluations budget would never run out
