@@ -9,21 +9,21 @@ score high.
 import numpy as np
 
 from roadsearch import ControlPointSet, RoadParams, build_road
-from roadsearch.geometry import discrete_frechet, frechet_pairs
+from roadsearch.geometry import frechet_pairs
 
 # tiny sanity examples
-print("identical lines:", discrete_frechet([[0, 0], [1, 0]], [[0, 0], [1, 0]]))
+print("identical lines:", frechet_pairs([[0, 0], [1, 0]], [[0, 0], [1, 0]])[0])
 print("parallel lines 1 m apart:",
-      discrete_frechet([[0, 0], [1, 0], [2, 0]], [[0, 1], [1, 1], [2, 1]]))
+      frechet_pairs([[0, 0], [1, 0], [2, 0]], [[0, 1], [1, 1], [2, 1]])[0])
 
 # a case small enough to check by hand: the walker steps (0,0) (1,0) (2,0),
 # the dog (0,1) (2,1). Both start together (1 m apart) and end together
 # (1 m apart); the walker's middle point has to wait with the dog at one
 # end or the other, sqrt(1 + 1) m away either way. So the leash is sqrt(2).
 walker, dog = [[0, 0], [1, 0], [2, 0]], [[0, 1], [2, 1]]
-print(f"walker vs dog: {discrete_frechet(walker, dog):.6f} m "
+print(f"walker vs dog: {frechet_pairs(walker, dog)[0]:.6f} m "
       f"(by hand: sqrt(2) = {np.sqrt(2):.6f} m)")
-assert discrete_frechet(walker, dog) == np.sqrt(2)
+assert frechet_pairs(walker, dog)[0] == np.sqrt(2)
 
 # distances between whole roads
 params = RoadParams()
@@ -38,8 +38,8 @@ nudged = [[10, 100], [40, 122], [70, 88], [100, 112], [130, 88], [160, 122], [19
 different = [[10, 30], [40, 170], [70, 30], [100, 170], [130, 30], [160, 170], [190, 30]]
 
 a, b, c = centerline(base), centerline(nudged), centerline(different)
-print(f"nudged copy:    frechet = {discrete_frechet(a, b):7.2f} m")
-print(f"different road: frechet = {discrete_frechet(a, c):7.2f} m")
+print(f"nudged copy:    frechet = {frechet_pairs(a, b)[0]:7.2f} m")
+print(f"different road: frechet = {frechet_pairs(a, c)[0]:7.2f} m")
 
 # many pairs at once: one batched sweep, here the base road against both
 print("base vs [nudged, different]:", np.round(frechet_pairs(a, [b, c]), 2), "m")

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     ControlPointSet,
-    discrete_frechet,
     frechet_pairs,
     min_curvature_radius,
     sample_bezier,
@@ -23,10 +22,7 @@ from .simulator import (
     TestResult,
     VehicleParams,
     VehicleState,
-    oob_percent,
-    pure_pursuit,
     run_test,
-    step,
 )
 from .search import (
     FailureArchive,

@@ -16,7 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "ControlPointSet",
     "sample_bezier",
-    "discrete_frechet",
     "frechet_pairs",
     "segment_self_distances",
     "min_curvature_radius",
@@ -173,13 +172,6 @@ def frechet_pairs(ps, qs) -> np.ndarray:
         out[part] = _frechet_sweep(_stack(p if len(p) == 1 else p[part]),
                                    _stack(q if len(q) == 1 else q[part]))
     return out
-
-
-def discrete_frechet(p, q) -> float:
-    """Discrete Frechet distance between two polylines: the minimum over
-    monotone couplings of the maximum paired point distance. Symmetric in
-    its arguments; one pair of :func:`frechet_pairs`."""
-    return float(frechet_pairs(_as_polyline(p), _as_polyline(q))[0])
 
 
 def _point_segment_dist(points, a, b):

@@ -66,7 +66,7 @@ class SutDescriptor:
             if not words:
                 raise ValueError(f"command {self.command!r} names no program")
         # a NaN or infinite timeout would abort the first driven road
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+        if isinstance(self.timeout, bool) or not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError("timeout must be positive and finite")
 
 

@@ -16,13 +16,13 @@ import csv
 import json
 from pathlib import Path
 
-from . import __version__
+from . import __version__, search, simulator
 from .geometry import ControlPointSet
 from .road import RoadParams, RoadSpec, build_road
 from .search import RunReport, builtin_driver, judge
 from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
-from .config import parse_config_dict, serialize_config
+from .config import ConfigError, parse_config_dict, serialize_config
 
 __all__ = [
     "ReplayDivergence",
@@ -37,6 +37,17 @@ __all__ = [
 ]
 
 SUMMARY_COLUMNS = ["Run", "T", "P", "I", "F", "AvgFrechet", "MaxFrechet"]
+
+# settings that older archives carry and that are now module constants,
+# with the one value this version runs them at
+_RETIRED = {
+    "search": {"mutation_prob": search.MUTATION_PROB, "mutation_range": search.MUTATION_RANGE,
+               "tournament_size": search.TOURNAMENT_SIZE, "elitism": 1,
+               "crossover_prob": search.CROSSOVER_PROB},
+    "vehicle": {"wheelbase": simulator.WHEELBASE, "width": simulator.WIDTH,
+                "length": simulator.LENGTH, "max_steer": simulator.MAX_STEER,
+                "lookahead": simulator.LOOKAHEAD, "steer_rate": simulator.STEER_RATE},
+}
 
 
 class ReplayDivergence(RuntimeError):
@@ -135,11 +146,18 @@ def load_archive(path) -> dict:
 
 def _archive_params(archive: dict):
     # read like a config file; an older archive's "dt" and "max_time" are ignored
-    # and its sut.kind dropped: a "builtin" one was driven by the built-in simulator
-    sut = dict(archive["config"]["sut"])
-    if sut.pop("kind", None) == "builtin":
-        sut.pop("command", None)
-    _, road_params, vparams, sut = parse_config_dict({**archive["config"], "sut": sut})
+    # and its sut.kind dropped: a "builtin" one was driven by the built-in simulator.
+    # A retired setting is dropped at this version's value and refused at any other.
+    config = {section: dict(values) for section, values in archive["config"].items()}
+    for section, retired in _RETIRED.items():
+        for key, value in retired.items():
+            archived = config.get(section, {}).pop(key, value)
+            if archived != value:
+                raise ConfigError(f"{section}.{key}: the archive was run at {archived!r}, "
+                                  f"this version only at {value!r}")
+    if config["sut"].pop("kind", None) == "builtin":
+        config["sut"].pop("command", None)
+    _, road_params, vparams, sut = parse_config_dict(config)
     return road_params, vparams, sut
 
 
@@ -151,9 +169,9 @@ def _record_road(record: dict, road_params: RoadParams) -> RoadSpec:
 def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     """Re-run one archived test and check the stored verdict still holds.
 
-    Archives recorded against an external SUT are only replayed when the
-    identical SUT command is supplied again; without it, replay refuses
-    rather than silently substituting the built-in simulator.
+    ``sut_command`` must be the archive's own SUT command, or None for an
+    archive of the built-in simulator; replay refuses any other rather
+    than judge with a SUT the archive was not recorded against.
     """
     if not isinstance(archive, dict):
         archive = load_archive(archive)
@@ -162,17 +180,15 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     if record is None:
         raise ValueError(f"archive has no test {test_id}")
 
-    if sut.command is not None:
-        if sut_command is None:
-            raise ValueError(
-                "archive was recorded against an external SUT; "
-                f"pass its command ({sut.command!r}) to replay")
-        if sut_command != sut.command:
-            raise ValueError(
-                f"SUT command mismatch: archive used {sut.command!r}")
-        drive = lambda road: external_evaluate(road, sut)
-    else:
+    if sut_command != sut.command:
+        recorded = ("the built-in SUT" if sut.command is None
+                    else f"the external SUT {sut.command!r}")
+        raise ValueError(f"SUT command mismatch: the archive was recorded against "
+                         f"{recorded}, not {sut_command!r}")
+    if sut.command is None:
         drive = builtin_driver(vparams)
+    else:
+        drive = lambda road: external_evaluate(road, sut)
     result = judge(_record_road(record, road_params), drive)
 
     stored = (record["verdict"], float(record["fitness"]))

@@ -60,14 +60,15 @@ class RoadParams:
     def __post_init__(self):
         for name in ("lane_width", "min_radius", "map_size"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
         if (isinstance(self.num_samples, bool)
                 or not isinstance(self.num_samples, numbers.Integral) or self.num_samples < 2):
             raise ValueError("num_samples must be an integer >= 2")
         if self.overlap_buffer is None:
             self.overlap_buffer = 2.0 * self.lane_width
-        if not (math.isfinite(self.overlap_buffer) and self.overlap_buffer >= 0):
+        if isinstance(self.overlap_buffer, bool) or not (
+                math.isfinite(self.overlap_buffer) and self.overlap_buffer >= 0):
             raise ValueError("overlap_buffer must be finite and >= 0")
 
 

@@ -46,6 +46,10 @@ __all__ = [
     "novelty_accept",
     "run_search",
     "INVALID_SEED_ACCEPT_PROB",
+    "TOURNAMENT_SIZE",
+    "CROSSOVER_PROB",
+    "MUTATION_PROB",
+    "MUTATION_RANGE",
 ]
 
 VARIANTS = ("A", "B", "C")
@@ -53,6 +57,14 @@ RESTART_VARIANTS = ("B", "C")
 
 # chance that a validity-guided reseed admits an invalid candidate anyway
 INVALID_SEED_ACCEPT_PROB = 0.25
+# contestants per tournament, drawn with replacement
+TOURNAMENT_SIZE = 2
+# chance that two selected parents are recombined rather than copied
+CROSSOVER_PROB = 0.8
+# per-point chance of a mutation, and the half-side in meters of the
+# square a mutated point is redrawn from
+MUTATION_PROB = 0.2
+MUTATION_RANGE = 25.0
 
 # drives one valid road through a system under test and returns its verdict
 Driver = Callable[[RoadSpec], TestResult]
@@ -65,7 +77,9 @@ class SearchConfig:
     The budget is either ``max_evaluations`` or ``wall_time`` seconds
     (exactly one); with neither given, a desk-scale default of 300
     evaluations applies. ``population_size`` defaults to 25 for variants
-    A/B and 15 for variant C.
+    A/B and 15 for variant C. The GA's operators are fixed: see
+    ``TOURNAMENT_SIZE``, ``CROSSOVER_PROB``, ``MUTATION_PROB`` and
+    ``MUTATION_RANGE``, with single-individual elitism.
     """
 
     variant: str = "A"
@@ -73,11 +87,6 @@ class SearchConfig:
     num_control_points: int = 7
     max_evaluations: int | None = None
     wall_time: float | None = None
-    mutation_prob: float = 0.2
-    mutation_range: float = 25.0
-    tournament_size: int = 2
-    elitism: int = 1
-    crossover_prob: float = 0.8
     novelty_filter: bool = False
     seed: int = 0
     map_size: float = 200.0
@@ -94,23 +103,21 @@ class SearchConfig:
         # a float count or seed crashes range() or numpy mid-run, and a NaN or
         # inf budget never runs out; max_evaluations is None under a wall_time
         lower = {"population_size": 2, "num_control_points": 3, "max_evaluations": 1,
-                 "tournament_size": 1, "elitism": 0, "seed": 0}
+                 "seed": 0}
         for name, low in lower.items():
             value = getattr(self, name)
             if value is None and name == "max_evaluations":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        for name in ("wall_time", "mutation_range", "map_size"):
+        for name in ("wall_time", "map_size"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and (isinstance(value, bool)
+                                      or not (math.isfinite(value) and value > 0)):
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("mutation_prob", "crossover_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        # each elite replaces one child, so there can be no more elites than children
-        if self.elitism > self.population_size:
-            raise ValueError("elitism must be <= population_size")
+        # a truthy string such as "false" would switch the filter on
+        if not isinstance(self.novelty_filter, bool):
+            raise ValueError("novelty_filter must be true or false")
 
 
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays
@@ -230,12 +237,12 @@ def evaluate(ind: Individual, road_params: RoadParams, drive: Driver) -> Individ
     return ind
 
 
-def select(pop: list, rng, config: SearchConfig) -> Individual:
+def select(pop: list, rng) -> Individual:
     """Tournament selection; contestants drawn with replacement, ties
     broken by lower population index."""
     if not pop:
         raise ValueError("empty population")
-    contestants = rng.integers(0, len(pop), size=config.tournament_size)
+    contestants = rng.integers(0, len(pop), size=TOURNAMENT_SIZE)
     best = int(contestants[0])
     for c in contestants[1:]:
         c = int(c)
@@ -245,13 +252,13 @@ def select(pop: list, rng, config: SearchConfig) -> Individual:
     return pop[best]
 
 
-def crossover(a: Individual, b: Individual, rng, config: SearchConfig):
-    """One-point crossover with probability crossover_prob; children are
+def crossover(a: Individual, b: Individual, rng):
+    """One-point crossover with probability CROSSOVER_PROB; children are
     re-sorted by x and returned unevaluated."""
     ga, gb = a.genotype.points, b.genotype.points
     if len(ga) != len(gb):
         raise ValueError("genotype length mismatch")
-    if rng.random() < config.crossover_prob:
+    if rng.random() < CROSSOVER_PROB:
         cut = int(rng.integers(1, len(ga)))
         c1 = np.vstack([ga[:cut], gb[cut:]])
         c2 = np.vstack([gb[:cut], ga[cut:]])
@@ -262,15 +269,15 @@ def crossover(a: Individual, b: Individual, rng, config: SearchConfig):
             Individual(ControlPointSet(_sorted_by_x(c2), mk)))
 
 
-def mutate(ind: Individual, rng, config: SearchConfig) -> Individual:
-    """Per point, with probability mutation_prob, redraw it uniformly from
-    the square of half-side mutation_range around its old position,
+def mutate(ind: Individual, rng) -> Individual:
+    """Per point, with probability MUTATION_PROB, redraw it uniformly from
+    the square of half-side MUTATION_RANGE around its old position,
     clipped to the map. Result is re-sorted by x and unevaluated."""
     pts = ind.genotype.points.copy()
-    mask = rng.random(len(pts)) < config.mutation_prob
+    mask = rng.random(len(pts)) < MUTATION_PROB
     if mask.any():
         old = pts[mask]
-        drawn = rng.uniform(old - config.mutation_range, old + config.mutation_range)
+        drawn = rng.uniform(old - MUTATION_RANGE, old + MUTATION_RANGE)
         pts[mask] = np.clip(drawn, 0.0, ind.genotype.map_size)
     return Individual(ControlPointSet(_sorted_by_x(pts), ind.genotype.map_size))
 
@@ -308,22 +315,6 @@ def _copy_evaluated(ind: Individual) -> Individual:
                       ind.centerline, ind.error)
 
 
-def _best_index(pop: list) -> int:
-    best = 0
-    for i in range(1, len(pop)):
-        if pop[i].fitness > pop[best].fitness:
-            best = i
-    return best
-
-
-def _worst_index(pop: list) -> int:
-    worst = 0
-    for i in range(1, len(pop)):
-        if pop[i].fitness < pop[worst].fitness:
-            worst = i
-    return worst
-
-
 def _offspring(pop: list, rng, config: SearchConfig, phenotype, out_of_budget):
     """Yield one generation's n offspring: tournament selection, crossover
     and mutation. With the novelty filter, a child that would not raise the
@@ -335,13 +326,13 @@ def _offspring(pop: list, rng, config: SearchConfig, phenotype, out_of_budget):
     the budget is not spent when its turn comes."""
     drawn: list[tuple[Individual, Individual]] = []
     while len(drawn) < config.population_size:
-        p1 = select(pop, rng, config)
-        p2 = select(pop, rng, config)
-        c1, c2 = crossover(p1, p2, rng, config)
+        p1 = select(pop, rng)
+        p2 = select(pop, rng)
+        c1, c2 = crossover(p1, p2, rng)
         for child, parent in ((c1, p1), (c2, p2)):
             if len(drawn) >= config.population_size:
                 break
-            drawn.append((mutate(child, rng, config), parent))
+            drawn.append((mutate(child, rng), parent))
     if config.novelty_filter:
         # pop stays fixed until the generation ends, so its curves and
         # their matrix serve every offspring's novelty check
@@ -448,13 +439,12 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
             partial_seed = seeding  # the budget ran out mid-batch
             break
         if not seeding:
-            for _ in range(config.elitism):
-                bi = _best_index(pop)
-                wi = _worst_index(reached)
-                if pop[bi].fitness > reached[wi].fitness:
-                    reached[wi] = pop.pop(bi)
-                else:
-                    break
+            # single-individual elitism: the best parent replaces the worst
+            # child if it is strictly fitter; max and min keep the first of equals
+            best = max(pop, key=lambda ind: ind.fitness)
+            worst = min(range(len(reached)), key=lambda i: reached[i].fitness)
+            if best.fitness > reached[worst].fitness:
+                reached[worst] = best
         pop = reached
 
     emit("BUDGET_EXHAUSTED", evaluations=len(records), partial_seed=partial_seed)

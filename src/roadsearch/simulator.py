@@ -26,6 +26,12 @@ __all__ = [
     "OOB_FAIL_THRESHOLD",
     "DT",
     "MAX_TIME",
+    "WHEELBASE",
+    "WIDTH",
+    "LENGTH",
+    "MAX_STEER",
+    "LOOKAHEAD",
+    "STEER_RATE",
     "VehicleParams",
     "VehicleState",
     "TestResult",
@@ -45,6 +51,19 @@ OOB_FAIL_THRESHOLD = 95.0
 DT = 0.05
 MAX_TIME = 120.0
 
+# the vehicle: body and axle geometry in meters, steering limit in
+# radians, pure-pursuit lookahead in meters of arc, and the rate in rad/s
+# at which the road wheels can slew. The slew limit is what makes high
+# speed on sharply curving roads genuinely dangerous: the time to swing
+# the steering across an S-transition is fixed, so the distance covered
+# while under-steered grows with speed.
+WHEELBASE = 2.5
+WIDTH = 1.8
+LENGTH = 4.3
+MAX_STEER = 0.6
+LOOKAHEAD = 8.0
+STEER_RATE = 0.5
+
 # meters by which the in-lane test widens the footprint and narrows the
 # quads; far above the rounding error of coordinates on a 200 m map
 CONTAINMENT_MARGIN = 1e-6
@@ -52,30 +71,13 @@ CONTAINMENT_MARGIN = 1e-6
 
 @dataclass
 class VehicleParams:
-    """Vehicle geometry, speed and steering actuation limits.
+    """The vehicle's one setting: its constant speed in m/s."""
 
-    ``steer_rate`` bounds how fast the road wheels can slew. It is what
-    makes high speed on sharply curving roads genuinely dangerous: the
-    time to swing the steering across an S-transition is fixed, so the
-    distance covered while under-steered grows with speed.
-    """
-
-    wheelbase: float = 2.5
-    width: float = 1.8
-    length: float = 4.3
     speed: float = 12.0
-    max_steer: float = 0.6
-    lookahead: float = 8.0
-    steer_rate: float = 0.5
 
     def __post_init__(self):
-        for name in ("wheelbase", "width", "length", "speed", "max_steer",
-                     "lookahead", "steer_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.max_steer >= math.pi / 2:
-            raise ValueError("max_steer must be < pi/2")
+        if isinstance(self.speed, bool) or not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError("speed must be positive and finite")
 
 
 @dataclass
@@ -113,21 +115,21 @@ def _wrap_angle(a: float) -> float:
 def step(state: VehicleState, steer_cmd: float, params: VehicleParams) -> VehicleState:
     """One Euler step of ``DT`` seconds of the kinematic bicycle model.
 
-    The steer command is clamped to +-max_steer and the applied steer can
-    move at most steer_rate*DT per step from its previous value; the
+    The steer command is clamped to +-MAX_STEER and the applied steer can
+    move at most STEER_RATE*DT per step from its previous value; the
     position advances by exactly speed*DT along the current heading, and
-    the heading turns by (speed*DT / wheelbase) * tan(steer).
+    the heading turns by (speed*DT / WHEELBASE) * tan(steer).
     """
     x, y = state.position.tolist()
     if not (math.isfinite(steer_cmd) and math.isfinite(state.heading)
             and math.isfinite(x) and math.isfinite(y)):
         raise ValueError("non-finite state or steer command")
-    target = min(params.max_steer, max(-params.max_steer, steer_cmd))
-    slew = params.steer_rate * DT
+    target = min(MAX_STEER, max(-MAX_STEER, steer_cmd))
+    slew = STEER_RATE * DT
     steer = state.steer + min(slew, max(-slew, target - state.steer))
     ds = params.speed * DT
     position = np.array([x + ds * math.cos(state.heading), y + ds * math.sin(state.heading)])
-    heading = _wrap_angle(state.heading + ds / params.wheelbase * math.tan(steer))
+    heading = _wrap_angle(state.heading + ds / WHEELBASE * math.tan(steer))
     return VehicleState(position, heading, steer, state.time + DT)
 
 
@@ -164,8 +166,8 @@ def _point_at_arclength(path: _Path, s: float):
     return float(np.interp(s, path.cum, path.xs)), float(np.interp(s, path.cum, path.ys))
 
 
-def pure_pursuit(state: VehicleState, path: _Path, params: VehicleParams):
-    """Steer toward the point ``lookahead`` meters of arc ahead of the
+def pure_pursuit(state: VehicleState, path: _Path):
+    """Steer toward the point ``LOOKAHEAD`` meters of arc ahead of the
     vehicle's nearest point on ``path``.
 
     Returns ``(steer, s)``, ``s`` being the arc length of that nearest
@@ -175,26 +177,26 @@ def pure_pursuit(state: VehicleState, path: _Path, params: VehicleParams):
     s = _project_on_path(x, y, path)
     if s >= path.total - 1e-9:
         return 0.0, s
-    gx, gy = _point_at_arclength(path, s + params.lookahead)
+    gx, gy = _point_at_arclength(path, s + LOOKAHEAD)
     alpha = _wrap_angle(math.atan2(gy - y, gx - x) - state.heading)
-    steer = math.atan(2.0 * params.wheelbase * math.sin(alpha) / params.lookahead)
-    steer = min(params.max_steer, max(-params.max_steer, steer))
+    steer = math.atan(2.0 * WHEELBASE * math.sin(alpha) / LOOKAHEAD)
+    steer = min(MAX_STEER, max(-MAX_STEER, steer))
     return steer, s
 
 
-def _footprint(state: VehicleState, params: VehicleParams):
+def _footprint(state: VehicleState):
     """Body center, heading unit vector and the four CCW corners of the
     oriented bounding rectangle.
 
-    The body center sits wheelbase/2 ahead of the rear axle, so the
+    The body center sits WHEELBASE/2 ahead of the rear axle, so the
     rectangle overhangs both axles equally.
     """
     x, y = state.position.tolist()
     ux, uy = math.cos(state.heading), math.sin(state.heading)
     nx, ny = -uy, ux
-    half = 0.5 * params.wheelbase
+    half = 0.5 * WHEELBASE
     cx, cy = x + half * ux, y + half * uy
-    hl, hw = 0.5 * params.length, 0.5 * params.width
+    hl, hw = 0.5 * LENGTH, 0.5 * WIDTH
     corners = (
         (cx - hl * ux - hw * nx, cy - hl * uy - hw * ny),
         (cx + hl * ux - hw * nx, cy + hl * uy - hw * ny),
@@ -273,7 +275,7 @@ class _LaneStrip:
         mask &= self.yhi >= min(y0, y1, y2, y3)
         return mask.nonzero()[0].tolist()
 
-    def contains(self, near: list, center, axis, params: VehicleParams) -> bool:
+    def contains(self, near: list, center, axis) -> bool:
         """Does the vehicle rectangle (``center``, unit ``axis``) certainly
         lie inside the union of the ``near`` quads?
 
@@ -294,8 +296,8 @@ class _LaneStrip:
         quads = self.quads
         if not any(_strictly_inside(cx, cy, quads[i]) for i in near):
             return False
-        hl = 0.5 * params.length + CONTAINMENT_MARGIN
-        hw = 0.5 * params.width + CONTAINMENT_MARGIN
+        hl = 0.5 * LENGTH + CONTAINMENT_MARGIN
+        hw = 0.5 * WIDTH + CONTAINMENT_MARGIN
         last = len(near) - 1
         for k, i in enumerate(near):
             (c0x, c0y), (c1x, c1y), (r1x, r1y), (r0x, r0y) = quads[i]
@@ -338,7 +340,7 @@ def _clip_area(quad, edges) -> float:
     return 0.5 * abs(area)
 
 
-def oob_percent(state: VehicleState, strip: _LaneStrip, params: VehicleParams) -> float:
+def oob_percent(state: VehicleState, strip: _LaneStrip) -> float:
     """Percentage of the vehicle's bounding-box area outside the right lane.
 
     The right lane is the strip between centerline and right boundary,
@@ -350,14 +352,14 @@ def oob_percent(state: VehicleState, strip: _LaneStrip, params: VehicleParams) -
     inside the near quads, the answer is 0.0 without clipping. That is
     the value the clip gives too: the near quads tile the part of the
     strip under the rectangle, so their clipped areas sum to
-    length x width up to rounding, and the ``out < 1e-9`` branch below
+    LENGTH x WIDTH up to rounding, and the ``out < 1e-9`` branch below
     turns that rounding into 0.0. Every other footprint is clipped as
     before, including one wholly outside the lane: its clip may differ
     from exactly 100 by rounding, so no early-out claims that value.
     """
-    center, (ux, uy), rect = _footprint(state, params)
+    center, (ux, uy), rect = _footprint(state)
     near = strip.near(rect)
-    if strip.contains(near, center, (ux, uy), params):
+    if strip.contains(near, center, (ux, uy)):
         return 0.0
     # inward half-plane normals of the CCW rectangle
     edges = (
@@ -369,7 +371,7 @@ def oob_percent(state: VehicleState, strip: _LaneStrip, params: VehicleParams) -
     inside = 0.0
     for i in near:
         inside += _clip_area(strip.quads[i], edges)
-    out = 100.0 * (1.0 - inside / (params.length * params.width))
+    out = 100.0 * (1.0 - inside / (LENGTH * WIDTH))
     if out < 1e-9:  # clipping noise
         return 0.0
     return min(out, 100.0)
@@ -387,9 +389,9 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None) -> TestResult
     """
     vp = vparams or VehicleParams()
     path = _Path(0.5 * (road.centerline + road.right_boundary))
-    start_s = 0.5 * (vp.length - vp.wheelbase)  # rear overhang behind the rear axle
+    start_s = 0.5 * (LENGTH - WHEELBASE)  # rear overhang behind the rear axle
     # front overhang plus one step, so the recorded body never passes the end
-    end_margin = 0.5 * (vp.length + vp.wheelbase) + vp.speed * DT
+    end_margin = 0.5 * (LENGTH + WHEELBASE) + vp.speed * DT
 
     x0, y0 = _point_at_arclength(path, start_s)
     ahead_x, ahead_y = _point_at_arclength(path, start_s + 1.0)
@@ -397,18 +399,18 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None) -> TestResult
     strip = _LaneStrip(road.centerline, road.right_boundary)
 
     trajectory = [state]
-    oob0 = oob_percent(state, strip, vp)
+    oob0 = oob_percent(state, strip)
     oob_trace = [oob0]
     max_oob = oob0
     completed = False
 
     while True:
-        steer, s = pure_pursuit(state, path, vp)
+        steer, s = pure_pursuit(state, path)
         if s >= path.total - end_margin:
             completed = True
             break
         state = step(state, steer, vp)
-        oob = oob_percent(state, strip, vp)
+        oob = oob_percent(state, strip)
         trajectory.append(state)
         oob_trace.append(oob)
         if oob > max_oob:

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from roadsearch.geometry import ControlPointSet, discrete_frechet
+from roadsearch.geometry import ControlPointSet, frechet_pairs
 from roadsearch.protocol import SutDescriptor, external_evaluate
 from roadsearch.report import load_archive, replay, summary_row, write_report
 from roadsearch.road import RoadParams, build_road, validate
@@ -27,6 +27,7 @@ from roadsearch.search import (
 )
 from roadsearch.simulator import (
     PASS,
+    WHEELBASE,
     VehicleParams,
     VehicleState,
     run_test,
@@ -68,7 +69,7 @@ def test_1_frechet_oracle_equivalence():
     for _ in range(200):
         p = rng.uniform(0, 10, size=(int(rng.integers(1, 6)), 2))
         q = rng.uniform(0, 10, size=(int(rng.integers(1, 6)), 2))
-        worst = max(worst, abs(discrete_frechet(p, q) - frechet_bruteforce(p, q)))
+        worst = max(worst, abs(frechet_pairs(p, q)[0] - frechet_bruteforce(p, q)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -106,11 +107,11 @@ def test_2_geometry_property_suite():
         p = rng.uniform(0, 50, size=(int(rng.integers(1, 8)), 2))
         q = rng.uniform(0, 50, size=(int(rng.integers(1, 8)), 2))
         t = rng.uniform(-100, 100, size=2)
-        if discrete_frechet(p, p) != 0.0:
+        if frechet_pairs(p, p)[0] != 0.0:
             metric_violations += 1
-        if abs(discrete_frechet(p, q) - discrete_frechet(q, p)) > 1e-12:
+        if abs(frechet_pairs(p, q)[0] - frechet_pairs(q, p)[0]) > 1e-12:
             metric_violations += 1
-        if abs(discrete_frechet(p + t, q + t) - discrete_frechet(p, q)) > 1e-9:
+        if abs(frechet_pairs(p + t, q + t)[0] - frechet_pairs(p, q)[0]) > 1e-9:
             metric_violations += 1
     assert metric_violations == 0
     report_line(2, "endpoint interpolation, convex hull (1000x100), "
@@ -137,7 +138,7 @@ def test_3_simulator_sanity():
     b = (trail ** 2).sum(axis=1)
     (cx, cy, c), *_ = np.linalg.lstsq(a, b, rcond=None)
     radius = math.sqrt(c + cx * cx + cy * cy)
-    expected = vp.wheelbase / math.tan(delta)
+    expected = WHEELBASE / math.tan(delta)
     assert abs(radius - expected) / expected < 0.01
 
     # repeated runs are bit-identical

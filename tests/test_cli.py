@@ -151,6 +151,20 @@ class TestReplayCommand:
                      "--test", "12345"])
         assert code == 1
 
+    def test_replay_refuses_a_sut_the_archive_did_not_use(self, tmp_path, capsys):
+        # --sut on a built-in archive used to be ignored: the built-in
+        # simulator replayed it and said "matches archive"
+        out = tmp_path / "out"
+        main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
+              "--out", str(out)])
+        capsys.readouterr()
+        code = main(["replay", "--archive", str(out / "run01.json"),
+                     "--test", "0", "--sut", "some-sut"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "matches archive" not in captured.out
+        assert "built-in SUT" in captured.err and "some-sut" in captured.err
+
 
 class TestRenderCommand:
     def test_render_failures(self, tmp_path, capsys):

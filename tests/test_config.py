@@ -42,8 +42,8 @@ class TestDefaults:
 
 class TestValidation:
     def test_out_of_range_names_key(self):
-        with pytest.raises(ConfigError, match="mutation_prob"):
-            parse_config_dict({"search": {"mutation_prob": 1.5}})
+        with pytest.raises(ConfigError, match="population_size"):
+            parse_config_dict({"search": {"population_size": 1}})
 
     def test_unknown_key_names_path(self):
         with pytest.raises(ConfigError, match=r"search\.mutation_probz"):
@@ -75,29 +75,34 @@ class TestValidation:
             parse_config_dict(read_config(tmp_path / "nope.json"))
 
     def test_nan_in_file_rejected(self, tmp_path):
-        # json reads NaN and Infinity as floats; the dataclasses refuse them
+        # json reads NaN and Infinity as floats, and true as a bool that
+        # passes for 1; the dataclasses refuse them, and a switch that is
+        # not a bool ("false" is truthy)
         path = tmp_path / "cfg.json"
         for text, key in (('{"vehicle": {"speed": NaN}}', "speed"),
                           ('{"road": {"min_radius": NaN}}', "min_radius"),
                           ('{"search": {"wall_time": Infinity}}', "wall_time"),
                           ('{"sut": {"timeout": NaN}}', "timeout"),
-                          ('{"sut": {"timeout": Infinity}}', "timeout")):
+                          ('{"sut": {"timeout": Infinity}}', "timeout"),
+                          ('{"vehicle": {"speed": true}}', "speed"),
+                          ('{"sut": {"timeout": true}}', "timeout"),
+                          ('{"road": {"lane_width": true}}', "lane_width"),
+                          ('{"road": {"overlap_buffer": false}}', "overlap_buffer"),
+                          ('{"search": {"wall_time": true}}', "wall_time"),
+                          ('{"search": {"novelty_filter": "false"}}', "novelty_filter"),
+                          ('{"search": {"novelty_filter": 0}}', "novelty_filter")):
             path.write_text(text)
             with pytest.raises(ConfigError, match=key):
                 parse_config_dict(read_config(path))
 
     def test_search_settings_that_would_crash_the_run(self, tmp_path):
-        # a float seed used to die in numpy, too many elites in run_search,
-        # a float count in range() or numpy
+        # a float seed used to die in numpy, a float count in range() or numpy
         path = tmp_path / "cfg.json"
         for text, key in (('{"search": {"seed": 1.5}}', "seed"),
                           ('{"search": {"seed": -1}}', "seed"),
                           ('{"search": {"seed": true}}', "seed"),
-                          ('{"search": {"population_size": 2, "elitism": 5}}', "elitism"),
                           ('{"search": {"population_size": 2.5}}', "population_size"),
-                          ('{"search": {"tournament_size": 2.5}}', "tournament_size"),
                           ('{"search": {"num_control_points": 4.5}}', "num_control_points"),
-                          ('{"search": {"elitism": 1.5}}', "elitism"),
                           ('{"search": {"max_evaluations": 60.5}}', "max_evaluations"),
                           ('{"search": {"population_size": true}}', "population_size"),
                           ('{"road": {"num_samples": 50.5}}', "num_samples"),
@@ -105,6 +110,28 @@ class TestValidation:
             path.write_text(text)
             with pytest.raises(ConfigError, match=key):
                 parse_config_dict(read_config(path))
+
+    @pytest.mark.parametrize("section, key", [
+        ("search", "mutation_prob"), ("search", "mutation_range"),
+        ("search", "tournament_size"), ("search", "elitism"), ("search", "crossover_prob"),
+        ("vehicle", "wheelbase"), ("vehicle", "width"), ("vehicle", "length"),
+        ("vehicle", "max_steer"), ("vehicle", "lookahead"), ("vehicle", "steer_rate"),
+    ])
+    def test_fixed_operator_and_vehicle_keys_are_unknown(self, section, key):
+        # the GA's rates and the vehicle's geometry are module constants;
+        # a file that sets one, even to its value, is refused
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
+            parse_config_dict({section: {key: 1}})
+
+    def test_settable_keys(self):
+        data = serialize_config(*parse_config_dict({}))
+        assert {s: sorted(v) for s, v in data.items()} == {
+            "search": ["max_evaluations", "novelty_filter", "num_control_points",
+                       "population_size", "seed", "variant", "wall_time"],
+            "road": ["lane_width", "map_size", "min_radius", "num_samples", "overlap_buffer"],
+            "vehicle": ["speed"],
+            "sut": ["command", "timeout"],
+        }
 
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="road"):
@@ -114,10 +141,10 @@ class TestValidation:
 class TestRoundTrip:
     def test_parse_serialize_identity(self):
         data = {
-            "search": {"variant": "B", "seed": 99, "mutation_prob": 0.3,
+            "search": {"variant": "B", "seed": 99, "novelty_filter": True,
                        "max_evaluations": 500},
             "road": {"lane_width": 3.5, "map_size": 300.0},
-            "vehicle": {"speed": 25.0, "lookahead": 10.0},
+            "vehicle": {"speed": 25.0},
             "sut": {"command": "cat", "timeout": 5.0},
         }
         parsed = parse_config_dict(data)

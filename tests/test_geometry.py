@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from roadsearch.geometry import (
     FRECHET_CHUNK,
     ControlPointSet,
-    discrete_frechet,
     frechet_pairs,
     min_curvature_radius,
     polyline_lengths,
@@ -108,35 +107,35 @@ def polylines(draw, max_points=5):
 
 class TestDiscreteFrechet:
     def test_single_points(self):
-        assert discrete_frechet([[0, 0]], [[3, 4]]) == pytest.approx(5.0)
+        assert frechet_pairs([[0, 0]], [[3, 4]])[0] == pytest.approx(5.0)
 
     def test_identity(self):
         p = np.array([[0, 0], [1, 2], [3, 3], [5, 1]], dtype=float)
-        assert discrete_frechet(p, p) == 0.0
+        assert frechet_pairs(p, p)[0] == 0.0
 
     def test_translated_line(self):
         p = [[0, 0], [1, 0], [2, 0]]
         q = [[0, 1], [1, 1], [2, 1]]
-        assert discrete_frechet(p, q) == pytest.approx(1.0)
+        assert frechet_pairs(p, q)[0] == pytest.approx(1.0)
 
     def test_matches_bruteforce_on_random_pairs(self):
         rng = np.random.default_rng(1234)
         for _ in range(200):
             p = rng.uniform(0, 10, size=(rng.integers(1, 6), 2))
             q = rng.uniform(0, 10, size=(rng.integers(1, 6), 2))
-            assert abs(discrete_frechet(p, q) - frechet_bruteforce(p, q)) <= 1e-9
+            assert abs(frechet_pairs(p, q)[0] - frechet_bruteforce(p, q)) <= 1e-9
 
     @given(polylines(), polylines())
     @settings(max_examples=80, deadline=None)
     def test_symmetry(self, p, q):
-        assert discrete_frechet(p, q) == pytest.approx(discrete_frechet(q, p), abs=1e-12)
+        assert frechet_pairs(p, q)[0] == pytest.approx(frechet_pairs(q, p)[0], abs=1e-12)
 
     @given(polylines())
     @settings(max_examples=50, deadline=None)
     def test_lower_bound_first_last(self, p):
         rng = np.random.default_rng(0)
         q = p + rng.uniform(-1, 1, size=(1, 2))
-        d = discrete_frechet(p, q)
+        d = frechet_pairs(p, q)[0]
         assert d >= np.linalg.norm(p[0] - q[0]) - 1e-12
         assert d >= np.linalg.norm(p[-1] - q[-1]) - 1e-12
 
@@ -145,12 +144,12 @@ class TestDiscreteFrechet:
     @settings(max_examples=80, deadline=None)
     def test_translation_invariance(self, p, q, dx, dy):
         t = np.array([dx, dy])
-        assert discrete_frechet(p + t, q + t) == pytest.approx(
-            discrete_frechet(p, q), abs=1e-9)
+        assert frechet_pairs(p + t, q + t)[0] == pytest.approx(
+            frechet_pairs(p, q)[0], abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            discrete_frechet(np.empty((0, 2)), [[1, 1]])
+            frechet_pairs(np.empty((0, 2)), [[1, 1]])[0]
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +199,7 @@ class TestFrechetPairs:
 
     def test_single_pair_matches_reference(self, golden_centerlines):
         p, q = golden_centerlines[3], golden_centerlines[7]
-        assert discrete_frechet(p, q) == discrete_frechet_reference(p, q)
+        assert frechet_pairs(p, q)[0] == discrete_frechet_reference(p, q)
 
     def test_empty_batch_and_mismatched_counts(self):
         assert frechet_pairs([], [[0, 0], [1, 0]]).shape == (0,)

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roadsearch.geometry import ControlPointSet, discrete_frechet
+from roadsearch.geometry import ControlPointSet, frechet_pairs
+from roadsearch.config import ConfigError
 from roadsearch.protocol import SutDescriptor
 from roadsearch.report import (
     ReplayDivergence,
@@ -34,6 +37,16 @@ RP = RoadParams()
 VP = VehicleParams(speed=25.0)
 BUILTIN = SutDescriptor()
 
+# written by `roadsearch run --variant B --seed 5 --budget-evals 20` at
+# 25 m/s while the GA's rates and the vehicle geometry were config keys,
+# so its config holds all eleven at their values; with the SHA-256 of the
+# two failure SVGs that run wrote
+RETIRED_KEYS_ARCHIVE = Path(__file__).parent / "data" / "archive_retired_keys.json"
+RETIRED_KEYS_SVGS = {
+    "fail_0007.svg": "d3677cb1ffce569df30be6d7f85891c58bcbd47b7fd5eb91f63cb66b6168bda5",
+    "fail_0009.svg": "70a0ca55b6ae0c768d2cd08d94fdbe09a1ab8ff5f6363f267ac0e3b83d23792b",
+}
+
 
 def straight_points(y=100.0):
     return np.column_stack([np.linspace(0, 200, 7), np.full(7, y)])
@@ -53,7 +66,7 @@ def stub_report(fail_centerline_xs, n_pass=2, config=None):
         records.append(TestRecord(len(records), geno, PASS, 0.0, 0.01))
     n = len(failures)
     if n >= 2:
-        dists = [discrete_frechet(failures[i], failures[j])
+        dists = [frechet_pairs(failures[i], failures[j])[0]
                  for i in range(n) for j in range(i + 1, n)]
         avg, mx = float(np.mean(dists)), float(np.max(dists))
     else:
@@ -153,7 +166,7 @@ class TestReplay:
             curves = [build_road(ControlPointSet(np.asarray(r["genotype"]),
                                                  road_params.map_size),
                                  road_params).centerline for r in fails]
-            dists = [discrete_frechet(curves[i], curves[j])
+            dists = [frechet_pairs(curves[i], curves[j])[0]
                      for i in range(len(curves)) for j in range(i + 1, len(curves))]
             assert np.mean(dists) == pytest.approx(agg["avg_frechet_failures"], abs=1e-6)
             assert np.max(dists) == pytest.approx(agg["max_frechet_failures"], abs=1e-6)
@@ -240,3 +253,32 @@ class TestReplay:
             replay(archive, 0)
         with pytest.raises(ValueError, match="mismatch"):
             replay(archive, 0, sut_command="a-different-sut")
+
+
+class TestRetiredSettings:
+    """Archives from before the GA's rates and the vehicle geometry became
+    module constants."""
+
+    def test_archive_with_retired_keys_replays_and_renders(self, tmp_path):
+        archive = load_archive(RETIRED_KEYS_ARCHIVE)
+        assert archive["config"]["search"]["tournament_size"] == 2
+        assert archive["config"]["vehicle"]["lookahead"] == 8.0
+        for rec in archive["records"]:
+            assert replay(archive, rec["id"]).verdict == rec["verdict"]
+        svgs = render_failures(archive, tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in svgs} == RETIRED_KEYS_SVGS
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("vehicle", "lookahead", 6.0),
+        ("search", "tournament_size", 3),
+    ])
+    def test_archive_run_at_another_value_is_refused(self, tmp_path, section, key, value):
+        # it would replay and render under a setting it was not run with
+        archive = load_archive(RETIRED_KEYS_ARCHIVE)
+        archive["config"][section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            replay(archive, 0)
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            render_failures(archive, tmp_path)
+        assert not list(tmp_path.iterdir())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roadsearch import search
-from roadsearch.geometry import ControlPointSet, discrete_frechet
+from roadsearch.geometry import ControlPointSet, frechet_pairs
 from roadsearch.road import RoadParams
 from roadsearch.search import (
     FAIL,
@@ -83,8 +83,6 @@ class TestSearchConfig:
 
     def test_ranges(self):
         with pytest.raises(ValueError):
-            SearchConfig(mutation_prob=1.5)
-        with pytest.raises(ValueError):
             SearchConfig(variant="D")
         with pytest.raises(ValueError):
             SearchConfig(population_size=1)
@@ -94,26 +92,18 @@ class TestSearchConfig:
         {"max_evaluations": math.nan}, {"max_evaluations": math.inf},
         {"population_size": math.nan}, {"population_size": math.inf},
         {"num_control_points": math.nan},
-        {"tournament_size": math.nan}, {"tournament_size": math.inf},
-        {"mutation_prob": math.nan}, {"crossover_prob": math.nan},
-        {"mutation_range": math.nan}, {"mutation_range": math.inf},
-        {"elitism": math.nan}, {"elitism": math.inf},
         {"map_size": math.nan}, {"map_size": math.inf},
         # a float count crashes range() or numpy mid-run
         {"population_size": 2.5}, {"population_size": 25.0},
         {"num_control_points": 4.5}, {"max_evaluations": 60.5},
-        {"tournament_size": 2.5}, {"elitism": 1.5}, {"elitism": True},
+        # a bool is no duration or length, and a string no switch
+        {"wall_time": True}, {"map_size": True},
+        {"novelty_filter": "false"}, {"novelty_filter": 1},
     ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
     def test_non_finite_rejected(self, bad):
         # a NaN wall_time or max_evaluations budget would never run out
         with pytest.raises(ValueError):
             SearchConfig(**bad)
-
-    def test_elitism_above_population_rejected(self):
-        # run_search used to raise IndexError once every parent beat every child
-        with pytest.raises(ValueError, match="elitism"):
-            SearchConfig(population_size=2, elitism=5)
-        assert SearchConfig(population_size=2, elitism=2).elitism == 2
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, -1, True, "1", None])
     def test_seed_must_be_non_negative_integer(self, seed):
@@ -194,29 +184,29 @@ class TestSelect:
     def test_single_individual(self):
         pop = [make_ind([[0, 0], [1, 1], [2, 2]], fitness=5.0, verdict=PASS)]
         rng = np.random.default_rng(0)
-        assert select(pop, rng, SearchConfig()) is pop[0]
+        assert select(pop, rng) is pop[0]
 
     def test_best_always_wins_its_tournaments(self):
         pop = [make_ind([[i, 0], [i + 1, 1], [i + 2, 2]], fitness=f, verdict=PASS)
                for i, f in enumerate([10.0, 99.0, 50.0])]
         rng = FakeRng(integers=[1, 2])  # best (index 1) vs index 2
-        assert select(pop, rng, SearchConfig(tournament_size=2)) is pop[1]
+        assert select(pop, rng) is pop[1]
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            select([], np.random.default_rng(0), SearchConfig())
+            select([], np.random.default_rng(0))
 
     def test_tournament_probabilities(self):
         # size-2 tournaments with replacement over fitnesses [0, 50, 100]:
         # win chances 1/9, 3/9, 5/9
         pop = [make_ind([[i, 0], [i + 1, 1], [i + 2, 2]], fitness=f, verdict=PASS)
                for i, f in enumerate([0.0, 50.0, 100.0])]
+        assert search.TOURNAMENT_SIZE == 2
         rng = np.random.default_rng(123)
-        cfg = SearchConfig(tournament_size=2)
         counts = np.zeros(3)
         n = 10000
         for _ in range(n):
-            winner = select(pop, rng, cfg)
+            winner = select(pop, rng)
             counts[next(i for i, p in enumerate(pop) if p is winner)] += 1
         expected = np.array([1, 3, 5]) / 9 * n
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -226,24 +216,24 @@ class TestSelect:
         pop = [make_ind([[i, 0], [i + 1, 1], [i + 2, 2]], fitness=1.0, verdict=PASS)
                for i in range(3)]
         rng = FakeRng(integers=[2, 0])
-        assert select(pop, rng, SearchConfig(tournament_size=2)) is pop[0]
+        assert select(pop, rng) is pop[0]
 
 
 class TestCrossover:
-    def test_no_crossover_copies_parents(self):
+    def test_no_crossover_copies_parents(self, monkeypatch):
+        monkeypatch.setattr(search, "CROSSOVER_PROB", 0.0)
         a = make_ind([[0, 0], [1, 1], [2, 2], [3, 3]])
         b = make_ind([[0, 5], [1, 6], [2, 7], [3, 8]])
-        c1, c2 = crossover(a, b, np.random.default_rng(0),
-                           SearchConfig(num_control_points=4, crossover_prob=0.0))
+        c1, c2 = crossover(a, b, np.random.default_rng(0))
         assert np.array_equal(c1.genotype.points, a.genotype.points)
         assert np.array_equal(c2.genotype.points, b.genotype.points)
         assert c1.fitness is None and c2.fitness is None
 
-    def test_identical_parents_identical_children(self):
+    def test_identical_parents_identical_children(self, monkeypatch):
+        monkeypatch.setattr(search, "CROSSOVER_PROB", 1.0)
         a = make_ind([[0, 0], [1, 1], [2, 2], [3, 3]])
         b = make_ind([[0, 0], [1, 1], [2, 2], [3, 3]])
-        c1, c2 = crossover(a, b, np.random.default_rng(1),
-                           SearchConfig(num_control_points=4, crossover_prob=1.0))
+        c1, c2 = crossover(a, b, np.random.default_rng(1))
         assert np.array_equal(c1.genotype.points, a.genotype.points)
         assert np.array_equal(c2.genotype.points, a.genotype.points)
 
@@ -251,7 +241,7 @@ class TestCrossover:
         a = make_ind([[0, 0], [1, 1], [2, 2], [3, 3]])
         b = make_ind([[0, 5], [1, 6], [2, 7], [3, 8]])
         rng = FakeRng(randoms=[0.0], integers=[2])  # crossover fires, cut at 2
-        c1, c2 = crossover(a, b, rng, SearchConfig(num_control_points=4))
+        c1, c2 = crossover(a, b, rng)
         assert np.array_equal(c1.genotype.points,
                               [[0, 0], [1, 1], [2, 7], [3, 8]])
         assert np.array_equal(c2.genotype.points,
@@ -261,46 +251,49 @@ class TestCrossover:
         a = make_ind([[0, 0], [1, 1], [2, 2]])
         b = make_ind([[0, 0], [1, 1], [2, 2], [3, 3]])
         with pytest.raises(ValueError):
-            crossover(a, b, np.random.default_rng(0), SearchConfig())
+            crossover(a, b, np.random.default_rng(0))
 
 
 class TestMutate:
-    def test_zero_probability_unchanged(self):
+    def test_zero_probability_unchanged(self, monkeypatch):
+        monkeypatch.setattr(search, "MUTATION_PROB", 0.0)
         ind = make_ind([[10, 10], [20, 20], [30, 30]])
-        out = mutate(ind, np.random.default_rng(0), SearchConfig(mutation_prob=0.0))
+        out = mutate(ind, np.random.default_rng(0))
         assert np.array_equal(out.genotype.points, ind.genotype.points)
 
-    def test_moves_stay_in_map(self):
+    def test_moves_stay_in_map(self, monkeypatch):
+        monkeypatch.setattr(search, "MUTATION_PROB", 1.0)
         rng = np.random.default_rng(5)
-        cfg = SearchConfig(mutation_prob=1.0, mutation_range=25.0)
+        cfg = SearchConfig()
         for _ in range(50):
             ind = random_individual(rng, cfg)
-            out = mutate(ind, rng, cfg)
+            out = mutate(ind, rng)
             pts = out.genotype.points
             assert pts.min() >= 0.0 and pts.max() <= 200.0
 
-    def test_chebyshev_distance_bounded(self):
+    def test_chebyshev_distance_bounded(self, monkeypatch):
+        monkeypatch.setattr(search, "MUTATION_PROB", 1.0)
         rng = np.random.default_rng(9)
-        cfg = SearchConfig(mutation_prob=1.0, mutation_range=25.0)
         pts = np.array([[50.0, 50.0], [100.0, 100.0], [150.0, 150.0]])
         for _ in range(200):
-            out = mutate(make_ind(pts), rng, cfg)
+            out = mutate(make_ind(pts), rng)
             # points are far apart, so sorting keeps the pairing
             d = np.abs(out.genotype.points - pts)
-            assert d.max() <= 25.0 + 1e-12
+            assert d.max() <= search.MUTATION_RANGE + 1e-12
 
-    def test_probability_one_moves_every_point(self):
+    def test_probability_one_moves_every_point(self, monkeypatch):
+        monkeypatch.setattr(search, "MUTATION_PROB", 1.0)
         rng = np.random.default_rng(11)
-        cfg = SearchConfig(mutation_prob=1.0, mutation_range=25.0)
         pts = np.array([[50.0, 50.0], [100.0, 100.0], [150.0, 150.0]])
         for _ in range(1000):
-            out = mutate(make_ind(pts), rng, cfg)
+            out = mutate(make_ind(pts), rng)
             d = np.abs(out.genotype.points - pts)
             assert (d.max(axis=1) > 0).all()
 
-    def test_fitness_reset(self):
+    def test_fitness_reset(self, monkeypatch):
+        monkeypatch.setattr(search, "MUTATION_PROB", 0.5)
         ind = make_ind([[10, 10], [20, 20], [30, 30]], fitness=3.0, verdict=PASS)
-        out = mutate(ind, np.random.default_rng(0), SearchConfig(mutation_prob=0.5))
+        out = mutate(ind, np.random.default_rng(0))
         assert out.fitness is None and out.verdict is None
 
 
@@ -327,7 +320,7 @@ def novelty_accept_from_scratch(candidate, curves) -> bool:
     n = len(curves)
     if n < 2:
         return True
-    d = np.array([discrete_frechet(candidate, c) for c in curves])
+    d = np.array([frechet_pairs(candidate, c)[0] for c in curves])
     j = int(np.argmin(d))
     mat = _pairwise_frechet(curves)
     pairs = n * (n - 1) / 2
@@ -355,7 +348,7 @@ class TestNoveltyAccept:
             got = novelty_accept(cand, curves, _pairwise_frechet(curves))
             # brute force: recompute both averages from scratch
             old = population_avg_frechet(curves)
-            j = int(np.argmin([discrete_frechet(cand, c) for c in curves]))
+            j = int(np.argmin([frechet_pairs(cand, c)[0] for c in curves]))
             swapped = list(curves)
             swapped[j] = cand
             new = population_avg_frechet(swapped)
@@ -552,9 +545,9 @@ class TestRunSearch:
             decisions, selected_from = [], []
             rule, tournament = search.novelty_accept, search.select
 
-            def recorded_select(pop, rng, config):
+            def recorded_select(pop, rng):
                 selected_from.append(list(pop))
-                return tournament(pop, rng, config)
+                return tournament(pop, rng)
 
             def checked(candidate, curves, mat):
                 # the curves judged against are the current population's

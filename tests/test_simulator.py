@@ -5,13 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roadsearch import simulator
 from roadsearch.geometry import ControlPointSet, min_curvature_radius
 from roadsearch.road import RoadParams, RoadSpec, build_road, validate
 from roadsearch.simulator import (
     DT,
     FAIL,
+    LENGTH,
+    LOOKAHEAD,
+    MAX_STEER,
     MAX_TIME,
     PASS,
+    STEER_RATE,
+    WHEELBASE,
+    WIDTH,
     TestResult,
     VehicleParams,
     VehicleState,
@@ -51,8 +58,7 @@ def state_at(x, y, heading=0.0, steer=0.0):
 
 
 class TestVehicleParams:
-    @pytest.mark.parametrize("name", ["wheelbase", "width", "length", "speed",
-                                      "max_steer", "lookahead", "steer_rate"])
+    @pytest.mark.parametrize("name", ["speed"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, value):
         # speed=nan used to give a FAIL after one step, speed=inf a PASS
@@ -70,16 +76,15 @@ class TestStep:
 
     def test_steer_command_clamped(self):
         vp = VehicleParams()
-        a = step(state_at(0, 0, steer=vp.max_steer), 2 * vp.max_steer, vp)
-        b = step(state_at(0, 0, steer=vp.max_steer), vp.max_steer, vp)
+        a = step(state_at(0, 0, steer=MAX_STEER), 2 * MAX_STEER, vp)
+        b = step(state_at(0, 0, steer=MAX_STEER), MAX_STEER, vp)
         assert np.array_equal(a.position, b.position)
         assert a.heading == b.heading and a.steer == b.steer
-        assert abs(a.steer) <= vp.max_steer
+        assert abs(a.steer) <= MAX_STEER
 
     def test_steer_slew_limited(self):
-        vp = VehicleParams(steer_rate=0.5)
-        s1 = step(state_at(0, 0, steer=0.0), vp.max_steer, vp)
-        assert s1.steer == pytest.approx(0.5 * DT)
+        s1 = step(state_at(0, 0, steer=0.0), MAX_STEER, VehicleParams())
+        assert s1.steer == pytest.approx(STEER_RATE * DT)
 
     def test_constant_steer_circle_radius(self):
         # kinematic bicycle on constant steer: radius = wheelbase / tan(steer),
@@ -96,7 +101,7 @@ class TestStep:
         b = (pts ** 2).sum(axis=1)
         (cx, cy, c), *_ = np.linalg.lstsq(a, b, rcond=None)
         radius = math.sqrt(c + cx * cx + cy * cy)
-        expected = vp.wheelbase / math.tan(delta)
+        expected = WHEELBASE / math.tan(delta)
         assert radius == pytest.approx(expected, rel=0.01)
 
     def test_rejects_bad_inputs(self):
@@ -108,38 +113,38 @@ class TestStep:
 
     def test_heading_stays_wrapped(self):
         vp = VehicleParams()
-        state = state_at(0, 0, steer=vp.max_steer)
+        state = state_at(0, 0, steer=MAX_STEER)
         for _ in range(1000):
-            state = step(state, vp.max_steer, vp)
+            state = step(state, MAX_STEER, vp)
             assert -math.pi < state.heading <= math.pi
 
 
 class TestPurePursuit:
     def test_aligned_on_straight_path(self):
         path = _Path(np.column_stack([np.linspace(0, 100, 51), np.zeros(51)]))
-        steer, s = pure_pursuit(state_at(10, 0), path, VehicleParams())
+        steer, s = pure_pursuit(state_at(10, 0), path)
         assert steer == pytest.approx(0.0, abs=1e-12)
         assert s == pytest.approx(10.0) and s < path.total
 
     def test_goal_directly_left(self):
         # nearest point and goal chosen so alpha = pi/2:
-        # steer = atan(2 * wheelbase * sin(alpha) / lookahead) = atan(5/8)
-        vp = VehicleParams(wheelbase=2.5, lookahead=8.0, max_steer=1.0)
+        # steer = atan(2 * wheelbase * sin(alpha) / lookahead) = atan(5/8),
+        # inside the steering limit
+        assert (WHEELBASE, LOOKAHEAD) == (2.5, 8.0) and MAX_STEER > math.atan(5.0 / 8.0)
         path = _Path(np.array([[0.0, 0.0], [0.0, 8.0], [0.0, 16.0]]))
-        steer, _ = pure_pursuit(state_at(0, 0), path, vp)
+        steer, _ = pure_pursuit(state_at(0, 0), path)
         assert steer == pytest.approx(math.atan(5.0 / 8.0), abs=1e-9)
 
     def test_mirrored_offsets_mirror_steer(self):
-        vp = VehicleParams()
         path = _Path(np.column_stack([np.linspace(0, 100, 51), np.zeros(51)]))
-        up, _ = pure_pursuit(state_at(10, 1.5), path, vp)
-        down, _ = pure_pursuit(state_at(10, -1.5), path, vp)
+        up, _ = pure_pursuit(state_at(10, 1.5), path)
+        down, _ = pure_pursuit(state_at(10, -1.5), path)
         assert up == pytest.approx(-down, abs=1e-12)
         assert up < 0  # offset left of the path steers right
 
     def test_beyond_path_end(self):
         path = _Path(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        steer, s = pure_pursuit(state_at(15, 0), path, VehicleParams())
+        steer, s = pure_pursuit(state_at(15, 0), path)
         assert steer == 0.0
         assert s >= path.total - 1e-9
 
@@ -152,21 +157,18 @@ class TestOobPercent:
     def test_centered_in_lane(self):
         road = straight_road()
         # right-lane center is y=98; rear axle so body center sits there
-        vp = VehicleParams()
-        st = state_at(100 - vp.wheelbase / 2, 98.0)
-        assert oob_percent(st, lane_strip(road), vp) == 0.0
+        st = state_at(100 - WHEELBASE / 2, 98.0)
+        assert oob_percent(st, lane_strip(road)) == 0.0
 
     def test_fully_in_opposite_lane(self):
         road = straight_road()
-        vp = VehicleParams()
-        st = state_at(100 - vp.wheelbase / 2, 102.0)
-        assert oob_percent(st, lane_strip(road), vp) == pytest.approx(100.0)
+        st = state_at(100 - WHEELBASE / 2, 102.0)
+        assert oob_percent(st, lane_strip(road)) == pytest.approx(100.0)
 
     def test_straddling_centerline_is_half_out(self):
         road = straight_road()
-        vp = VehicleParams()
-        st = state_at(100 - vp.wheelbase / 2, 100.0)  # body center on the centerline
-        assert oob_percent(st, lane_strip(road), vp) == pytest.approx(50.0, abs=0.5)
+        st = state_at(100 - WHEELBASE / 2, 100.0)  # body center on the centerline
+        assert oob_percent(st, lane_strip(road)) == pytest.approx(50.0, abs=0.5)
 
     def test_bounds(self):
         road = road_from(WIGGLY_POINTS)
@@ -179,15 +181,14 @@ class TestOobPercent:
         # the simulator clips per-segment quads with its own routine; the
         # oracle clips the whole right-lane polygon against the footprint
         road = road_from(WIGGLY_POINTS)
-        vp = VehicleParams(speed=25.0)
         strip = np.vstack([road.centerline, road.right_boundary[::-1]])
         quads = lane_strip(road)
-        states = run_test(road, vp).trajectory[::10]
+        states = run_test(road, VehicleParams(speed=25.0)).trajectory[::10]
         assert len(states) > 20
         for st in states:
-            inside = convex_clip_area(strip, np.array(_footprint(st, vp)[2]))
-            expected = min(max(100.0 * (1.0 - inside / (vp.length * vp.width)), 0.0), 100.0)
-            assert oob_percent(st, quads, vp) == pytest.approx(expected, abs=1e-6)
+            inside = convex_clip_area(strip, np.array(_footprint(st)[2]))
+            expected = min(max(100.0 * (1.0 - inside / (LENGTH * WIDTH)), 0.0), 100.0)
+            assert oob_percent(st, quads) == pytest.approx(expected, abs=1e-6)
 
     def test_degenerate_lane_rejected(self):
         road = straight_road()
@@ -290,12 +291,12 @@ def golden_valid_roads():
     return roads
 
 
-def clipped_oob(state, strip, vp):
+def clipped_oob(state, strip):
     """oob_percent without its in-lane early-out: every quad whose
     bounding box meets the footprint's, clipped with _clip_area and
     summed in quad order. The preselection is recomputed here from the
     quads themselves."""
-    _, (ux, uy), rect = _footprint(state, vp)
+    _, (ux, uy), rect = _footprint(state)
     xs, ys = [p[0] for p in rect], [p[1] for p in rect]
     edges = ((rect[0][0], rect[0][1], -uy, ux), (rect[1][0], rect[1][1], -ux, -uy),
              (rect[2][0], rect[2][1], uy, -ux), (rect[3][0], rect[3][1], ux, uy))
@@ -305,7 +306,8 @@ def clipped_oob(state, strip, vp):
         if (min(qx) <= max(xs) and min(qy) <= max(ys)
                 and max(qx) >= min(xs) and max(qy) >= min(ys)):
             inside += _clip_area(quad, edges)
-    out = 100.0 * (1.0 - inside / (vp.length * vp.width))
+    # the module's constants, read at call time: a test may widen the body
+    out = 100.0 * (1.0 - inside / (simulator.LENGTH * simulator.WIDTH))
     return 0.0 if out < 1e-9 else min(out, 100.0)
 
 
@@ -318,7 +320,7 @@ def test_every_step_matches_full_clip(golden_valid_roads):
         strip = lane_strip(road)
         result = run_test(road, vp)
         for n, (st, oob) in enumerate(zip(result.trajectory, result.oob_trace)):
-            want = clipped_oob(st, strip, vp)
+            want = clipped_oob(st, strip)
             if oob != want:
                 mismatches.append((k, n, oob, want))
             positive += want > 0.0
@@ -327,7 +329,7 @@ def test_every_step_matches_full_clip(golden_valid_roads):
     assert len(golden_valid_roads) == 84 and steps > 10000 and positive > 100
 
 
-def body_pose(lane, cum, s, lateral, yaw, vp):
+def body_pose(lane, cum, s, lateral, yaw):
     """Vehicle whose body center sits ``lateral`` m left of the lane
     center at arc length ``s`` (extrapolated past either end), heading
     ``yaw`` off the lane direction."""
@@ -336,20 +338,18 @@ def body_pose(lane, cum, s, lateral, yaw, vp):
     u = (b - a) / np.linalg.norm(b - a)
     center = a + (s - cum[i]) * u + lateral * np.array([-u[1], u[0]])
     heading = math.atan2(u[1], u[0]) + yaw
-    rear = center - 0.5 * vp.wheelbase * np.array([math.cos(heading), math.sin(heading)])
+    rear = center - 0.5 * WHEELBASE * np.array([math.cos(heading), math.sin(heading)])
     return VehicleState(rear, heading)
 
 
-def test_in_lane_early_out_is_conservative(golden_valid_roads):
-    vp = VehicleParams()
-    roomy = VehicleParams(length=vp.length + 0.2, width=vp.width + 0.2)
+def test_in_lane_early_out_is_conservative(golden_valid_roads, monkeypatch):
     rng = np.random.default_rng(6)
     sharpest = sorted(golden_valid_roads, key=lambda r: min_curvature_radius(r.centerline))[:4]
     # lateral offsets of the body center from the lane center (4 m lane,
     # 1.8 m body): its left side near the centerline, its right side near
     # the right boundary, anywhere across the start and end caps, and
     # well inside the lane
-    edge = 2.0 - 0.5 * vp.width
+    edge = 2.0 - 0.5 * WIDTH
     regions = {"centerline": lambda total: (rng.uniform(0, total), edge + rng.uniform(-0.4, 0.4)),
                "right": lambda total: (rng.uniform(0, total), -edge + rng.uniform(-0.4, 0.4)),
                "start cap": lambda total: (rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)),
@@ -365,17 +365,21 @@ def test_in_lane_early_out_is_conservative(golden_valid_roads):
         for name, draw in regions.items():
             for _ in range(100):
                 s, lateral = draw(cum[-1])
-                st = body_pose(lane, cum, s, lateral, rng.uniform(-0.15, 0.15), vp)
-                center, axis, rect = _footprint(st, vp)
-                inside = strip.contains(strip.near(rect), center, axis, vp)
-                full = clipped_oob(st, strip, vp)
+                st = body_pose(lane, cum, s, lateral, rng.uniform(-0.15, 0.15))
+                center, axis, rect = _footprint(st)
+                inside = strip.contains(strip.near(rect), center, axis)
+                full = clipped_oob(st, strip)
                 if inside and full > 0.0:
                     unsound.append((name, s, lateral, full))
-                if oob_percent(st, strip, vp) != full:
+                if oob_percent(st, strip) != full:
                     mismatches.append((name, s, lateral))
                 said_inside[name] = said_inside.get(name, 0) + inside
                 out_of_lane[name] = out_of_lane.get(name, 0) + (full > 0.0)
-                if clipped_oob(st, strip, roomy) == 0.0:  # 0.1 m clear all round
+                with monkeypatch.context() as roomy:
+                    roomy.setattr(simulator, "LENGTH", LENGTH + 0.2)
+                    roomy.setattr(simulator, "WIDTH", WIDTH + 0.2)
+                    clear = clipped_oob(st, strip) == 0.0  # 0.1 m clear all round
+                if clear:
                     clearly_in += 1
                     clearly_in_said += inside
     assert unsound == [] and mismatches == []
@@ -394,10 +398,9 @@ def test_contains_says_no_off_the_tiling():
     right = road.right_boundary.copy()
     right[-1] = road.left_boundary[-1]
     strip = _LaneStrip(road.centerline, right)
-    vp = VehicleParams()
-    st = state_at(100 - vp.wheelbase / 2, 98.0)
-    center, axis, rect = _footprint(st, vp)
+    st = state_at(100 - WHEELBASE / 2, 98.0)
+    center, axis, rect = _footprint(st)
     assert not strip.tiled and lane_strip(road).tiled
-    assert not strip.contains(strip.near(rect), center, axis, vp)
-    assert lane_strip(road).contains(strip.near(rect), center, axis, vp)
-    assert oob_percent(st, strip, vp) == clipped_oob(st, strip, vp) == 0.0
+    assert not strip.contains(strip.near(rect), center, axis)
+    assert lane_strip(road).contains(strip.near(rect), center, axis)
+    assert oob_percent(st, strip) == clipped_oob(st, strip) == 0.0
