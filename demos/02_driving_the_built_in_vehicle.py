@@ -11,20 +11,18 @@ from pathlib import Path
 
 import numpy as np
 
-from roadsearch import ControlPointSet, RoadParams, VehicleParams, build_road, run_test, validate
+from roadsearch import ControlPointSet, VehicleParams, build_road, run_test, validate
 from roadsearch.report import render_test_svg
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-params = RoadParams()
-
 # a valid but nasty road found by random sampling
 nasty = ControlPointSet(np.array(
     [[24.168, 122.524], [76.111, 6.78], [111.928, 167.398],
      [116.366, 129.561], [130.004, 78.709], [132.545, 115.23],
-     [149.369, 192.498]]), params.map_size)
-road = build_road(nasty, params)
+     [149.369, 192.498]]))
+road = build_road(nasty)
 assert validate(road).valid
 
 for speed in (12.0, 18.0, 25.0):
@@ -32,7 +30,7 @@ for speed in (12.0, 18.0, 25.0):
     result = run_test(road, vp)
     print(f"speed {speed:4.1f} m/s: verdict {result.verdict:7s} "
           f"max_oob {result.max_oob:6.2f}%  "
-          f"steps {len(result.trajectory):4d}  completed {result.completed}")
+          f"steps {len(result.trajectory):4d}")
 
 result = run_test(road, VehicleParams(speed=25.0))
 render_test_svg(road, result, OUT / "02_failure.svg",

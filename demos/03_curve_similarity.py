@@ -8,7 +8,7 @@ score high.
 """
 import numpy as np
 
-from roadsearch import ControlPointSet, RoadParams, build_road
+from roadsearch import ControlPointSet, build_road
 from roadsearch.geometry import frechet_pairs
 
 # tiny sanity examples
@@ -25,14 +25,12 @@ print(f"walker vs dog: {frechet_pairs(walker, dog)[0]:.6f} m "
       f"(by hand: sqrt(2) = {np.sqrt(2):.6f} m)")
 assert frechet_pairs(walker, dog)[0] == np.sqrt(2)
 
-# distances between whole roads
-params = RoadParams()
-
 
 def centerline(points):
-    return build_road(ControlPointSet(np.asarray(points, float), 200.0), params).centerline
+    return build_road(ControlPointSet(np.asarray(points, float))).centerline
 
 
+# distances between whole roads
 base = [[10, 100], [40, 120], [70, 90], [100, 110], [130, 90], [160, 120], [190, 100]]
 nudged = [[10, 100], [40, 122], [70, 88], [100, 112], [130, 88], [160, 122], [190, 100]]
 different = [[10, 30], [40, 170], [70, 30], [100, 170], [130, 30], [160, 170], [190, 30]]

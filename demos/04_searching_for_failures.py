@@ -15,17 +15,16 @@ printed here in the same layout as the summary CSV.
 """
 import time
 
-from roadsearch import RoadParams, SearchConfig, VehicleParams, build_road, validate
+from roadsearch import SearchConfig, VehicleParams, build_road, validate
 from roadsearch.search import builtin_driver, evaluate, run_search
 from roadsearch.report import summary_row
 
-road_params = RoadParams()
 vehicle = VehicleParams(speed=25.0)  # high speed makes tight roads dangerous
-validity = lambda cps: validate(build_road(cps, road_params)).valid
+validity = lambda cps: validate(build_road(cps)).valid
 # a driver takes a road to a verdict; evaluate() builds each candidate's
 # road, validates it and drives only the valid ones
 drive = builtin_driver(vehicle)
-evaluator = lambda ind: evaluate(ind, road_params, drive)
+evaluator = lambda ind: evaluate(ind, drive)
 
 print(f"{'variant':8s} {'T':>4s} {'P':>4s} {'I':>4s} {'F':>4s} "
       f"{'AvgFrechet':>11s} {'MaxFrechet':>11s} {'time':>6s}")

@@ -12,17 +12,16 @@ import sys
 
 import numpy as np
 
-from roadsearch import ControlPointSet, RoadParams, VehicleParams, build_road, run_test, validate
+from roadsearch import ControlPointSet, VehicleParams, build_road, run_test, validate
 from roadsearch.protocol import SutDescriptor, external_evaluate
 
-params = RoadParams()
 rng = np.random.default_rng(12)
 
 # a few random valid roads
 roads = []
 while len(roads) < 5:
     pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-    road = build_road(ControlPointSet(pts, 200.0), params)
+    road = build_road(ControlPointSet(pts))
     if validate(road).valid:
         roads.append(road)
 

@@ -34,7 +34,7 @@ import numpy as np
 import roadsearch
 from roadsearch import geometry, search
 from roadsearch.geometry import ControlPointSet
-from roadsearch.road import RoadParams, build_road
+from roadsearch.road import build_road
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_roads.json"
 POPULATION = 12
@@ -43,7 +43,7 @@ BATCHES = (1, 12, 66)
 
 def corpus_centerlines(count):
     entries = json.loads(CORPUS.read_text())["entries"][:count]
-    return [build_road(ControlPointSet(np.asarray(e["points"]), 200.0), RoadParams()).centerline
+    return [build_road(ControlPointSet(np.asarray(e["points"]))).centerline
             for e in entries]
 
 

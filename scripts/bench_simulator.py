@@ -33,7 +33,7 @@ import numpy as np
 import roadsearch
 from roadsearch import simulator
 from roadsearch.geometry import ControlPointSet
-from roadsearch.road import RoadParams, build_road, validate
+from roadsearch.road import build_road, validate
 from roadsearch.simulator import VehicleParams, run_test
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_roads.json"
@@ -42,7 +42,7 @@ CORPUS = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_roads.
 def corpus_roads():
     roads = []
     for entry in json.loads(CORPUS.read_text())["entries"]:
-        road = build_road(ControlPointSet(np.asarray(entry["points"]), 200.0), RoadParams())
+        road = build_road(ControlPointSet(np.asarray(entry["points"])))
         if validate(road).valid:
             roads.append((road, VehicleParams(speed=entry["speed"])))
     return roads

@@ -14,7 +14,7 @@ from .geometry import (
     min_curvature_radius,
     sample_bezier,
 )
-from .road import RoadParams, RoadSpec, ValidityReport, build_road, validate
+from .road import RoadSpec, ValidityReport, build_road, validate
 from .simulator import (
     FAIL,
     INVALID,

@@ -88,12 +88,12 @@ def _cmd_run(args) -> int:
         search.update(max_evaluations=None, wall_time=args.budget_seconds)
     overrides = {"search": search, "sut": {} if args.sut is None else {"command": args.sut}}
     data = read_config(args.config) if args.config else {}
-    search_cfg, road_params, vparams, sut = parse_config_dict(data, overrides)
+    search_cfg, vparams, sut = parse_config_dict(data, overrides)
 
     drive = _driver(sut, vparams)
-    evaluator = lambda ind: evaluate(ind, road_params, drive)
-    validity = lambda cps: validate(build_road(cps, road_params)).valid
-    phenotype = lambda cps: build_road(cps, road_params).centerline
+    evaluator = lambda ind: evaluate(ind, drive)
+    validity = lambda cps: validate(build_road(cps)).valid
+    phenotype = lambda cps: build_road(cps).centerline
 
     rows = []
     out = Path(args.out)
@@ -104,8 +104,7 @@ def _cmd_run(args) -> int:
         report = run_search(cfg, evaluator, validity=validity,
                             phenotype=phenotype,
                             reporter=lambda ev: log.debug("event %s", ev))
-        write_report(report, out, road_params=road_params, vparams=vparams,
-                     sut=sut, run_id=i + 1)
+        write_report(report, out, vparams=vparams, sut=sut, run_id=i + 1)
         row = summary_row(report, run_id=i + 1)
         rows.append(row)
         log.info("run %d: T=%s P=%s I=%s F=%s", i + 1, row["T"], row["P"],

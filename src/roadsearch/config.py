@@ -1,18 +1,16 @@
 """Configuration files for the harness.
 
-A config file is a JSON object with up to four sections -- ``search``,
-``road``, ``vehicle`` and ``sut`` -- whose keys mirror the corresponding
-parameter dataclasses. Every key is optional (an empty file means "all
-defaults"); unknown keys are an error so typos cannot silently change a
-run. ``map_size`` lives in the ``road`` section and is shared with the
-search's genotype domain.
+A config file is a JSON object with up to three sections -- ``search``,
+``vehicle`` and ``sut`` -- whose keys mirror the corresponding parameter
+dataclasses. Every key is optional (an empty file means "all defaults");
+unknown keys are an error so typos cannot silently change a run. The road
+geometry and the map are module constants, not settings.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import fields
 
-from .road import RoadParams
 from .search import SearchConfig
 from .simulator import VehicleParams
 from .protocol import SutDescriptor
@@ -21,28 +19,19 @@ __all__ = ["ConfigError", "parse_config_dict", "read_config", "serialize_config"
 
 _SECTIONS = {
     "search": SearchConfig,
-    "road": RoadParams,
     "vehicle": VehicleParams,
     "sut": SutDescriptor,
 }
-
-# search.map_size is not a file key; it is copied from road.map_size
-_HIDDEN = {"search": {"map_size"}}
 
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending key path."""
 
 
-def _allowed_keys(section: str) -> set:
-    cls = _SECTIONS[section]
-    return {f.name for f in fields(cls)} - _HIDDEN.get(section, set())
-
-
 def parse_config_dict(data: dict, overrides: dict | None = None):
     """Validate a config dictionary.
 
-    Returns ``(SearchConfig, RoadParams, VehicleParams, SutDescriptor)``
+    Returns ``(SearchConfig, VehicleParams, SutDescriptor)``
     with every omitted key at its documented default. ``overrides`` maps a
     section to settings laid over the file's (the command-line flags).
     """
@@ -57,8 +46,7 @@ def parse_config_dict(data: dict, overrides: dict | None = None):
         raw = data.get(section, {})
         if not isinstance(raw, dict):
             raise ConfigError(f"{section}: expected an object")
-        allowed = _allowed_keys(section)
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(f"{section}.{key}: unknown key")
@@ -66,9 +54,7 @@ def parse_config_dict(data: dict, overrides: dict | None = None):
             parsed[section] = cls(**{**raw, **(overrides or {}).get(section, {})})
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-
-    parsed["search"].map_size = parsed["road"].map_size
-    return (parsed["search"], parsed["road"], parsed["vehicle"], parsed["sut"])
+    return (parsed["search"], parsed["vehicle"], parsed["sut"])
 
 
 def read_config(path) -> dict:
@@ -86,15 +72,8 @@ def read_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def serialize_config(search: SearchConfig, road: RoadParams,
-                     vehicle: VehicleParams, sut: SutDescriptor) -> dict:
+def serialize_config(search: SearchConfig, vehicle: VehicleParams,
+                     sut: SutDescriptor) -> dict:
     """Inverse of :func:`parse_config_dict`: parse(serialize(c)) == c."""
-    out = {}
-    for section, obj in (("search", search), ("road", road),
-                         ("vehicle", vehicle), ("sut", sut)):
-        out[section] = {
-            f.name: getattr(obj, f.name)
-            for f in fields(obj)
-            if f.name not in _HIDDEN.get(section, set())
-        }
-    return out
+    return {section: {f.name: getattr(obj, f.name) for f in fields(obj)}
+            for section, obj in (("search", search), ("vehicle", vehicle), ("sut", sut))}

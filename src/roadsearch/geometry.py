@@ -7,13 +7,13 @@ concurrently.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "MAP_SIZE",
     "ControlPointSet",
     "sample_bezier",
     "frechet_pairs",
@@ -22,17 +22,19 @@ __all__ = [
     "polyline_lengths",
 ]
 
+# side in meters of the square map every road lies on
+MAP_SIZE = 200.0
+
 
 @dataclass
 class ControlPointSet:
-    """Ordered 2-D control points confined to a square map.
+    """Ordered 2-D control points confined to the square map.
 
     The genotype of the search: the curve built from these points is the
-    road centerline. Points must stay inside ``[0, map_size]^2``.
+    road centerline. Points must stay inside ``[0, MAP_SIZE]^2``.
     """
 
     points: np.ndarray
-    map_size: float = 200.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -42,14 +44,12 @@ class ControlPointSet:
             raise ValueError("need at least 2 control points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("control points must be finite")
-        if not (math.isfinite(self.map_size) and self.map_size > 0):
-            raise ValueError("map_size must be positive and finite")
-        if pts.min() < 0.0 or pts.max() > self.map_size:
+        if pts.min() < 0.0 or pts.max() > MAP_SIZE:
             raise ValueError("control points must lie inside the map")
         self.points = pts
 
     def copy(self) -> "ControlPointSet":
-        return ControlPointSet(self.points.copy(), self.map_size)
+        return ControlPointSet(self.points.copy())
 
 
 def _as_polyline(p, min_points=1) -> np.ndarray:

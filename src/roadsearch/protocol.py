@@ -4,10 +4,11 @@ One request / one reply per test over the child process's standard
 streams: the harness writes a single line of JSON holding the serialized
 road, the SUT answers with a single JSON line::
 
-    {"verdict": "PASS"|"FAIL"|"INVALID", "max_oob": <float>,
-     "completed": <bool>?}
+    {"verdict": "PASS"|"FAIL"|"INVALID", "max_oob": <float>}
 
-Any other key of the reply (a ``trajectory``, say) is ignored.
+Any other key of the reply (a ``trajectory``, say) is ignored. The
+road's ``params`` are this version's fixed geometry; a road line with
+any others is answered INVALID by the reference server.
 
 Spawn failures, timeouts and malformed replies each map to an INVALID
 result with a distinguishing error tag, so a broken SUT never kills a
@@ -86,11 +87,7 @@ def parse_reply(line: str) -> TestResult:
     if (isinstance(max_oob, bool) or not isinstance(max_oob, (int, float))
             or not 0.0 <= max_oob <= 100.0):
         raise ValueError(f"bad max_oob {max_oob!r}")
-    return TestResult(
-        verdict=verdict,
-        max_oob=float(max_oob),
-        completed=bool(data.get("completed", False)),
-    )
+    return TestResult(verdict=verdict, max_oob=float(max_oob))
 
 
 def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
@@ -132,16 +129,13 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
 
 
 def result_to_reply(result: TestResult) -> str:
-    return json.dumps({
-        "verdict": result.verdict,
-        "max_oob": result.max_oob,
-        "completed": result.completed,
-    })
+    return json.dumps({"verdict": result.verdict, "max_oob": result.max_oob})
 
 
 def serve_builtin(drive, stdin=None, stdout=None):
     """Answer each road line with ``judge(road, drive)`` until EOF; a line
-    that is not a road is answered INVALID with the protocol-error tag."""
+    that is not a road, or whose ``params`` are not this version's
+    geometry, is answered INVALID with the protocol-error tag."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     for line in stdin:

@@ -17,8 +17,8 @@ import json
 from pathlib import Path
 
 from . import __version__, search, simulator
-from .geometry import ControlPointSet
-from .road import RoadParams, RoadSpec, build_road
+from .geometry import MAP_SIZE, ControlPointSet
+from .road import PARAMS, RoadSpec, build_road
 from .search import RunReport, builtin_driver, judge
 from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
@@ -43,7 +43,9 @@ SUMMARY_COLUMNS = ["Run", "T", "P", "I", "F", "AvgFrechet", "MaxFrechet"]
 _RETIRED = {
     "search": {"mutation_prob": search.MUTATION_PROB, "mutation_range": search.MUTATION_RANGE,
                "tournament_size": search.TOURNAMENT_SIZE, "elitism": 1,
-               "crossover_prob": search.CROSSOVER_PROB},
+               "crossover_prob": search.CROSSOVER_PROB,
+               "num_control_points": search.NUM_CONTROL_POINTS},
+    "road": PARAMS,
     "vehicle": {"wheelbase": simulator.WHEELBASE, "width": simulator.WIDTH,
                 "length": simulator.LENGTH, "max_steer": simulator.MAX_STEER,
                 "lookahead": simulator.LOOKAHEAD, "steer_rate": simulator.STEER_RATE},
@@ -64,9 +66,8 @@ class ReplayDivergence(RuntimeError):
         self.fresh = fresh
 
 
-def archive_to_dict(report: RunReport, road_params: RoadParams,
-                    vparams: VehicleParams, sut: SutDescriptor) -> dict:
-    cfg = serialize_config(report.config, road_params, vparams, sut)
+def archive_to_dict(report: RunReport, vparams: VehicleParams, sut: SutDescriptor) -> dict:
+    cfg = serialize_config(report.config, vparams, sut)
     return {
         "version": __version__,
         "config": cfg,
@@ -110,8 +111,8 @@ def write_summary_csv(rows, path):
         writer.writerows(rows)
 
 
-def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
-                 vparams: VehicleParams, sut: SutDescriptor, run_id=1) -> dict:
+def write_report(report: RunReport, out_dir, *, vparams: VehicleParams,
+                 sut: SutDescriptor, run_id=1) -> dict:
     """Emit archive + summary + failure SVGs for one run.
 
     Returns a dict of the written paths; the SVGs are those of
@@ -121,7 +122,7 @@ def write_report(report: RunReport, out_dir, *, road_params: RoadParams,
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    archive = archive_to_dict(report, road_params, vparams, sut)
+    archive = archive_to_dict(report, vparams, sut)
     archive_path = out / f"run{run_id:02d}.json"
     with open(archive_path, "w", encoding="utf-8") as fh:
         json.dump(archive, fh)
@@ -145,25 +146,35 @@ def load_archive(path) -> dict:
 
 
 def _archive_params(archive: dict):
-    # read like a config file; an older archive's "dt" and "max_time" are ignored
-    # and its sut.kind dropped: a "builtin" one was driven by the built-in simulator.
-    # A retired setting is dropped at this version's value and refused at any other.
-    config = {section: dict(values) for section, values in archive["config"].items()}
+    # read like a config file, a missing section as its defaults; an older
+    # archive's "dt" and "max_time" are ignored and its sut.kind dropped: a
+    # "builtin" one was driven by the built-in simulator. A retired setting
+    # is dropped at this version's value and refused at any other, and the
+    # road section, all of it retired, goes once it is empty.
+    raw = archive["config"]
+    if not isinstance(raw, dict):
+        raise ConfigError("archive config: expected an object")
+    for section, values in raw.items():
+        if not isinstance(values, dict):
+            raise ConfigError(f"archive config.{section}: expected an object")
+    config = {section: dict(values) for section, values in raw.items()}
     for section, retired in _RETIRED.items():
         for key, value in retired.items():
             archived = config.get(section, {}).pop(key, value)
             if archived != value:
                 raise ConfigError(f"{section}.{key}: the archive was run at {archived!r}, "
                                   f"this version only at {value!r}")
-    if config["sut"].pop("kind", None) == "builtin":
-        config["sut"].pop("command", None)
-    _, road_params, vparams, sut = parse_config_dict(config)
-    return road_params, vparams, sut
+    if config.get("road") == {}:
+        del config["road"]
+    sut = config.get("sut", {})
+    if sut.pop("kind", None) == "builtin":
+        sut.pop("command", None)
+    _, vparams, sut = parse_config_dict(config)
+    return vparams, sut
 
 
-def _record_road(record: dict, road_params: RoadParams) -> RoadSpec:
-    return build_road(ControlPointSet(record["genotype"], road_params.map_size),
-                      road_params)
+def _record_road(record: dict) -> RoadSpec:
+    return build_road(ControlPointSet(record["genotype"]))
 
 
 def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
@@ -175,7 +186,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
     """
     if not isinstance(archive, dict):
         archive = load_archive(archive)
-    road_params, vparams, sut = _archive_params(archive)
+    vparams, sut = _archive_params(archive)
     record = next((r for r in archive["records"] if r["id"] == test_id), None)
     if record is None:
         raise ValueError(f"archive has no test {test_id}")
@@ -189,7 +200,7 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
         drive = builtin_driver(vparams)
     else:
         drive = lambda road: external_evaluate(road, sut)
-    result = judge(_record_road(record, road_params), drive)
+    result = judge(_record_road(record), drive)
 
     stored = (record["verdict"], float(record["fitness"]))
     fresh = (result.verdict, result.max_oob)
@@ -205,14 +216,14 @@ def render_failures(archive: dict, out_dir, prefix: str = "") -> list:
     Trajectories are re-simulated with the built-in SUT; for
     external-SUT archives only the road geometry is drawn.
     """
-    road_params, vparams, sut = _archive_params(archive)
+    vparams, sut = _archive_params(archive)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for rec in archive["records"]:
         if rec["verdict"] != FAIL:
             continue
-        road = _record_road(rec, road_params)
+        road = _record_road(rec)
         result = run_test(road, vparams) if sut.command is None else None
         path = out / f"{prefix}fail_{rec['id']:04d}.svg"
         render_test_svg(road, result, path,
@@ -233,7 +244,7 @@ def render_test_svg(road: RoadSpec, result: TestResult | None, path,
                     title: str = "") -> None:
     """Draw road boundaries, centerline and (if given) the trajectory,
     1 px per meter, colored by instantaneous out-of-bounds percentage."""
-    size = road.params.map_size
+    size = MAP_SIZE
 
     def pts(poly):
         return " ".join(f"{x:.2f},{size - y:.2f}" for x, y in poly)

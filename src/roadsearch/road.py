@@ -2,19 +2,18 @@
 
 A :class:`ControlPointSet` (genotype) becomes a :class:`RoadSpec`
 (phenotype): an arc-length-resampled centerline with left/right lane
-boundaries at +-lane_width. The road is two lanes wide; the vehicle keeps
+boundaries at +-LANE_WIDTH. The road is two lanes wide; the vehicle keeps
 the right lane. ``validate`` decides whether the road is drivable at all
 before any simulation is spent on it.
 """
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
+    MAP_SIZE,
     ControlPointSet,
     min_curvature_radius,
     polyline_lengths,
@@ -23,7 +22,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "RoadParams",
+    "LANE_WIDTH",
+    "NUM_SAMPLES",
+    "MIN_RADIUS",
+    "OVERLAP_BUFFER",
+    "PARAMS",
     "RoadSpec",
     "ValidityReport",
     "build_road",
@@ -41,35 +44,19 @@ OVERLAP = "OVERLAP"
 TOO_SHARP = "TOO_SHARP"
 TOO_SHORT = "TOO_SHORT"
 
+# the geometry every road is built and judged with: lane width in meters,
+# centerline points, the sharpest curve the vehicle is assumed to manage,
+# and the distance under which a fold counts as overlap, one full road
+# width so nearly-touching folds are rejected, not just exact crossings
+LANE_WIDTH = 4.0
+NUM_SAMPLES = 100
+MIN_RADIUS = 7.0
+OVERLAP_BUFFER = 2.0 * LANE_WIDTH
 
-@dataclass
-class RoadParams:
-    """Geometry parameters shared by road building and validation.
-
-    ``overlap_buffer`` defaults to one full road width (2 x lane_width) so
-    nearly-touching folds are rejected, not just exact crossings.
-    ``min_radius`` is the sharpest curve the vehicle is assumed to manage.
-    """
-
-    lane_width: float = 4.0
-    num_samples: int = 100
-    min_radius: float = 7.0
-    map_size: float = 200.0
-    overlap_buffer: float | None = None
-
-    def __post_init__(self):
-        for name in ("lane_width", "min_radius", "map_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if (isinstance(self.num_samples, bool)
-                or not isinstance(self.num_samples, numbers.Integral) or self.num_samples < 2):
-            raise ValueError("num_samples must be an integer >= 2")
-        if self.overlap_buffer is None:
-            self.overlap_buffer = 2.0 * self.lane_width
-        if isinstance(self.overlap_buffer, bool) or not (
-                math.isfinite(self.overlap_buffer) and self.overlap_buffer >= 0):
-            raise ValueError("overlap_buffer must be finite and >= 0")
+# the geometry under the names that a protocol road line's "params" and an
+# older archive's "road" section give it, in the order they always have
+PARAMS = {"lane_width": LANE_WIDTH, "num_samples": NUM_SAMPLES, "min_radius": MIN_RADIUS,
+          "map_size": MAP_SIZE, "overlap_buffer": OVERLAP_BUFFER}
 
 
 @dataclass
@@ -79,7 +66,6 @@ class RoadSpec:
     centerline: np.ndarray
     left_boundary: np.ndarray
     right_boundary: np.ndarray
-    params: RoadParams
 
     def length(self) -> float:
         return float(polyline_lengths(self.centerline)[-1])
@@ -125,22 +111,22 @@ def _unit_left_normals(p: np.ndarray) -> np.ndarray:
     return np.column_stack([-tang[:, 1], tang[:, 0]])
 
 
-def build_road(cps: ControlPointSet, params: RoadParams) -> RoadSpec:
+def build_road(cps: ControlPointSet) -> RoadSpec:
     """Build the road for a control-point set.
 
     The centerline is the Bezier curve sampled uniformly in parameter and
     then resampled to approximately uniform arc-length spacing; boundaries
-    sit at +-lane_width along the per-point normals. Degenerate curves
+    sit at +-LANE_WIDTH along the per-point normals. Degenerate curves
     still produce a RoadSpec; ``validate`` reports them as TOO_SHORT.
     """
-    raw = sample_bezier(cps, params.num_samples)
+    raw = sample_bezier(cps, NUM_SAMPLES)
     if len(raw) < 2:  # all control points coincide
         raw = np.vstack([cps.points[0], cps.points[-1] + [1e-9, 0.0]])
-    center = _resample_uniform(raw, params.num_samples)
+    center = _resample_uniform(raw, NUM_SAMPLES)
     normals = _unit_left_normals(center)
-    left = center + params.lane_width * normals
-    right = center - params.lane_width * normals
-    return RoadSpec(center, left, right, params)
+    left = center + LANE_WIDTH * normals
+    right = center - LANE_WIDTH * normals
+    return RoadSpec(center, left, right)
 
 
 # arc separation (in lane widths) under which centerline proximity is the
@@ -172,33 +158,31 @@ def _folds_back(center: np.ndarray, buffer: float, exempt_arc: float) -> bool:
 
 def validate(road: RoadSpec) -> ValidityReport:
     """Pre-execution validity check; invalid roads are never simulated."""
-    p = road.params
     violations = []
     center = road.centerline
-    if _folds_back(center, p.overlap_buffer,
-                   FOLD_EXEMPT_LANE_WIDTHS * p.lane_width):
+    if _folds_back(center, OVERLAP_BUFFER, FOLD_EXEMPT_LANE_WIDTHS * LANE_WIDTH):
         violations.append({
             "kind": OVERLAP,
-            "detail": f"centerline folds back on itself within {p.overlap_buffer:g} m",
+            "detail": f"centerline folds back on itself within {OVERLAP_BUFFER:g} m",
         })
     if len(center) >= 3:
         radius = min_curvature_radius(center)
-        if radius < p.min_radius:
+        if radius < MIN_RADIUS:
             violations.append({
                 "kind": TOO_SHARP,
-                "detail": f"min circumradius {radius:.2f} m < {p.min_radius:g} m",
+                "detail": f"min circumradius {radius:.2f} m < {MIN_RADIUS:g} m",
             })
     for name, boundary in (("left", road.left_boundary), ("right", road.right_boundary)):
-        if boundary.min() < 0.0 or boundary.max() > p.map_size:
+        if boundary.min() < 0.0 or boundary.max() > MAP_SIZE:
             violations.append({
                 "kind": OUT_OF_MAP,
-                "detail": f"{name} boundary leaves the {p.map_size:g} m map",
+                "detail": f"{name} boundary leaves the {MAP_SIZE:g} m map",
             })
     length = road.length()
-    if length < 4.0 * p.lane_width:
+    if length < 4.0 * LANE_WIDTH:
         violations.append({
             "kind": TOO_SHORT,
-            "detail": f"arc length {length:.2f} m < {4.0 * p.lane_width:g} m",
+            "detail": f"arc length {length:.2f} m < {4.0 * LANE_WIDTH:g} m",
         })
     return ValidityReport(valid=not violations, violations=violations)
 
@@ -209,18 +193,20 @@ def road_to_dict(road: RoadSpec) -> dict:
         "centerline": road.centerline.tolist(),
         "left_boundary": road.left_boundary.tolist(),
         "right_boundary": road.right_boundary.tolist(),
-        "params": asdict(road.params),
+        "params": dict(PARAMS),
     }
 
 
 def road_from_dict(data: dict) -> RoadSpec:
-    """Inverse of :func:`road_to_dict`. Raises ValueError unless the three
-    point arrays are finite and share one (n >= 2, 2) shape."""
-    params = RoadParams(**data["params"])
+    """Inverse of :func:`road_to_dict`. Raises ValueError unless ``params``
+    holds this version's geometry and the three point arrays are finite
+    and share one (n >= 2, 2) shape."""
+    if data["params"] != PARAMS:
+        raise ValueError(f"road params {data['params']!r} are not {PARAMS!r}")
     arrays = [np.asarray(data[key], dtype=float)
               for key in ("centerline", "left_boundary", "right_boundary")]
     shape = arrays[0].shape
     if (len(shape) != 2 or shape[0] < 2 or shape[1] != 2
             or any(a.shape != shape for a in arrays) or not np.isfinite(arrays).all()):
         raise ValueError("road point arrays must be finite and share one (n >= 2, 2) shape")
-    return RoadSpec(*arrays, params)
+    return RoadSpec(*arrays)

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ControlPointSet, frechet_pairs
-from .road import RoadParams, RoadSpec, build_road, validate
+from .geometry import MAP_SIZE, ControlPointSet, frechet_pairs
+from .road import RoadSpec, build_road, validate
 from .simulator import FAIL, INVALID, PASS, TestResult, VehicleParams, invalid_result, run_test
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "novelty_accept",
     "run_search",
     "INVALID_SEED_ACCEPT_PROB",
+    "NUM_CONTROL_POINTS",
     "TOURNAMENT_SIZE",
     "CROSSOVER_PROB",
     "MUTATION_PROB",
@@ -55,6 +56,8 @@ __all__ = [
 VARIANTS = ("A", "B", "C")
 RESTART_VARIANTS = ("B", "C")
 
+# control points per genotype: a degree-six Bezier curve
+NUM_CONTROL_POINTS = 7
 # chance that a validity-guided reseed admits an invalid candidate anyway
 INVALID_SEED_ACCEPT_PROB = 0.25
 # contestants per tournament, drawn with replacement
@@ -77,19 +80,18 @@ class SearchConfig:
     The budget is either ``max_evaluations`` or ``wall_time`` seconds
     (exactly one); with neither given, a desk-scale default of 300
     evaluations applies. ``population_size`` defaults to 25 for variants
-    A/B and 15 for variant C. The GA's operators are fixed: see
-    ``TOURNAMENT_SIZE``, ``CROSSOVER_PROB``, ``MUTATION_PROB`` and
-    ``MUTATION_RANGE``, with single-individual elitism.
+    A/B and 15 for variant C. The genotype and the GA's operators are
+    fixed: see ``NUM_CONTROL_POINTS``, ``TOURNAMENT_SIZE``,
+    ``CROSSOVER_PROB``, ``MUTATION_PROB`` and ``MUTATION_RANGE``, with
+    single-individual elitism.
     """
 
     variant: str = "A"
     population_size: int | None = None
-    num_control_points: int = 7
     max_evaluations: int | None = None
     wall_time: float | None = None
     novelty_filter: bool = False
     seed: int = 0
-    map_size: float = 200.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -102,19 +104,16 @@ class SearchConfig:
             raise ValueError("give max_evaluations or wall_time, not both")
         # a float count or seed crashes range() or numpy mid-run, and a NaN or
         # inf budget never runs out; max_evaluations is None under a wall_time
-        lower = {"population_size": 2, "num_control_points": 3, "max_evaluations": 1,
-                 "seed": 0}
+        lower = {"population_size": 2, "max_evaluations": 1, "seed": 0}
         for name, low in lower.items():
             value = getattr(self, name)
             if value is None and name == "max_evaluations":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        for name in ("wall_time", "map_size"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be positive and finite")
+        if self.wall_time is not None and (isinstance(self.wall_time, bool) or not (
+                math.isfinite(self.wall_time) and self.wall_time > 0)):
+            raise ValueError("wall_time must be positive and finite")
         # a truthy string such as "false" would switch the filter on
         if not isinstance(self.novelty_filter, bool):
             raise ValueError("novelty_filter must be true or false")
@@ -191,8 +190,8 @@ def _sorted_by_x(points: np.ndarray) -> np.ndarray:
 def random_individual(rng, config: SearchConfig) -> Individual:
     """Uniform control points in the map, kept sorted by x so roads run
     across the map instead of folding back at random."""
-    pts = rng.uniform(0.0, config.map_size, size=(config.num_control_points, 2))
-    return Individual(ControlPointSet(_sorted_by_x(pts), config.map_size))
+    pts = rng.uniform(0.0, MAP_SIZE, size=(NUM_CONTROL_POINTS, 2))
+    return Individual(ControlPointSet(_sorted_by_x(pts)))
 
 
 def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
@@ -222,7 +221,7 @@ def judge(road: RoadSpec, drive: Driver) -> TestResult:
     return drive(road)
 
 
-def evaluate(ind: Individual, road_params: RoadParams, drive: Driver) -> Individual:
+def evaluate(ind: Individual, drive: Driver) -> Individual:
     """Build and judge one individual.
 
     Invalid roads get verdict INVALID and fitness 0 without being driven;
@@ -230,7 +229,7 @@ def evaluate(ind: Individual, road_params: RoadParams, drive: Driver) -> Individ
     """
     if ind.evaluated:
         raise ValueError("individual already evaluated")
-    road = build_road(ind.genotype, road_params)
+    road = build_road(ind.genotype)
     ind.centerline = road.centerline
     result = judge(road, drive)
     ind.verdict, ind.fitness, ind.error = result.verdict, result.max_oob, result.error
@@ -264,9 +263,8 @@ def crossover(a: Individual, b: Individual, rng):
         c2 = np.vstack([gb[:cut], ga[cut:]])
     else:
         c1, c2 = ga.copy(), gb.copy()
-    mk = a.genotype.map_size
-    return (Individual(ControlPointSet(_sorted_by_x(c1), mk)),
-            Individual(ControlPointSet(_sorted_by_x(c2), mk)))
+    return (Individual(ControlPointSet(_sorted_by_x(c1))),
+            Individual(ControlPointSet(_sorted_by_x(c2))))
 
 
 def mutate(ind: Individual, rng) -> Individual:
@@ -278,8 +276,8 @@ def mutate(ind: Individual, rng) -> Individual:
     if mask.any():
         old = pts[mask]
         drawn = rng.uniform(old - MUTATION_RANGE, old + MUTATION_RANGE)
-        pts[mask] = np.clip(drawn, 0.0, ind.genotype.map_size)
-    return Individual(ControlPointSet(_sorted_by_x(pts), ind.genotype.map_size))
+        pts[mask] = np.clip(drawn, 0.0, MAP_SIZE)
+    return Individual(ControlPointSet(_sorted_by_x(pts)))
 
 
 def _pairwise_frechet(curves) -> np.ndarray:

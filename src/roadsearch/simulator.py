@@ -99,12 +99,11 @@ class TestResult:
     # oob_trace[i] is the out-of-bounds percentage at trajectory[i]
     oob_trace: list = field(default_factory=list)
     max_oob: float = 0.0
-    completed: bool = False
     error: str | None = None
 
 
 def invalid_result(error: str | None = None) -> TestResult:
-    return TestResult(verdict=INVALID, max_oob=0.0, completed=False, error=error)
+    return TestResult(verdict=INVALID, max_oob=0.0, error=error)
 
 
 def _wrap_angle(a: float) -> float:
@@ -402,12 +401,10 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None) -> TestResult
     oob0 = oob_percent(state, strip)
     oob_trace = [oob0]
     max_oob = oob0
-    completed = False
 
     while True:
         steer, s = pure_pursuit(state, path)
         if s >= path.total - end_margin:
-            completed = True
             break
         state = step(state, steer, vp)
         oob = oob_percent(state, strip)
@@ -421,4 +418,4 @@ def run_test(road: RoadSpec, vparams: VehicleParams | None = None) -> TestResult
             break
 
     verdict = FAIL if max_oob > OOB_FAIL_THRESHOLD else PASS
-    return TestResult(verdict, trajectory, oob_trace, max_oob, completed)
+    return TestResult(verdict, trajectory, oob_trace, max_oob)

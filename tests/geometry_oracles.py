@@ -19,7 +19,7 @@ def bezier_point(cps: ControlPointSet, t: float) -> np.ndarray:
     """Evaluate the degree-(n-1) Bezier curve at parameter ``t`` by the
     de Casteljau recurrence.
 
-    >>> bezier_point(ControlPointSet([[0, 0], [2, 2], [4, 0]], 10.0), 0.5)
+    >>> bezier_point(ControlPointSet([[0, 0], [2, 2], [4, 0]]), 0.5)
     array([2., 1.])
     """
     if not 0.0 <= t <= 1.0:

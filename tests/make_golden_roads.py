@@ -14,16 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from roadsearch.geometry import ControlPointSet
-from roadsearch.road import RoadParams, build_road, validate
-from roadsearch.search import builtin_driver, judge
+from roadsearch.geometry import MAP_SIZE, ControlPointSet
+from roadsearch.road import build_road, validate
+from roadsearch.search import NUM_CONTROL_POINTS, builtin_driver, judge
 from roadsearch.simulator import VehicleParams
 
 from test_simulator import FAILING_POINTS, WIGGLY_POINTS
 
 SEED = 2026
-MAP_SIZE = 200.0
-NUM_POINTS = 7
 # genotypes per speed and shape: x-sorted like the search's seeds (about
 # half valid), unsorted (folds and sharp turns), crammed into a small box
 # (too short), and jittered copies of two hard roads (verdicts near the
@@ -39,11 +37,11 @@ OUT = Path(__file__).parent / "data" / "golden_roads.json"
 def draw(rng, shape: str, index: int) -> np.ndarray:
     if shape == "compact":
         corner = rng.uniform(0.0, MAP_SIZE - 10.0, size=2)
-        return corner + rng.uniform(0.0, 10.0, size=(NUM_POINTS, 2))
+        return corner + rng.uniform(0.0, 10.0, size=(NUM_CONTROL_POINTS, 2))
     if shape == "jitter":
         base = np.array(HARD_ROADS[index % len(HARD_ROADS)])
         return np.clip(base + rng.uniform(-JITTER, JITTER, base.shape), 0.0, MAP_SIZE)
-    pts = rng.uniform(0.0, MAP_SIZE, size=(NUM_POINTS, 2))
+    pts = rng.uniform(0.0, MAP_SIZE, size=(NUM_CONTROL_POINTS, 2))
     if shape == "sorted":
         pts = pts[np.argsort(pts[:, 0], kind="stable")]
     return pts
@@ -51,7 +49,7 @@ def draw(rng, shape: str, index: int) -> np.ndarray:
 
 def judge_entry(points, speed: float) -> dict:
     """The verdict, violation kinds and max_oob of one genotype."""
-    road = build_road(ControlPointSet(np.asarray(points), MAP_SIZE), RoadParams())
+    road = build_road(ControlPointSet(np.asarray(points)))
     result = judge(road, builtin_driver(VehicleParams(speed=speed)))
     return {"verdict": result.verdict, "kinds": validate(road).kinds(),
             "max_oob": result.max_oob}

@@ -14,7 +14,7 @@ import pytest
 from roadsearch.geometry import ControlPointSet, frechet_pairs
 from roadsearch.protocol import SutDescriptor, external_evaluate
 from roadsearch.report import load_archive, replay, summary_row, write_report
-from roadsearch.road import RoadParams, build_road, validate
+from roadsearch.road import build_road, validate
 from roadsearch.search import (
     FAIL,
     RunReport,
@@ -26,6 +26,8 @@ from roadsearch.search import (
     run_search,
 )
 from roadsearch.simulator import (
+    DT,
+    MAX_TIME,
     PASS,
     WHEELBASE,
     VehicleParams,
@@ -39,7 +41,6 @@ import sys
 from geometry_oracles import bezier_point, frechet_bruteforce
 
 SEEDS = (1, 2, 3, 4, 5)
-ROAD_PARAMS = RoadParams()
 VEHICLE_25 = VehicleParams(speed=25.0)
 
 
@@ -49,9 +50,9 @@ def report_line(num, text):
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    validity = lambda cps: validate(build_road(cps, ROAD_PARAMS)).valid
+    validity = lambda cps: validate(build_road(cps)).valid
     drive = builtin_driver(VEHICLE_25)
-    evaluator = lambda ind: evaluate(ind, ROAD_PARAMS, drive)
+    evaluator = lambda ind: evaluate(ind, drive)
     runs = {}
     t0 = time.perf_counter()
     for variant in "ABC":
@@ -84,7 +85,7 @@ def test_2_geometry_property_suite():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         pts = rng.uniform(0, 200, (n, 2))
-        c = ControlPointSet(pts, 200.0)
+        c = ControlPointSet(pts)
         if np.linalg.norm(bezier_point(c, 0.0) - pts[0]) > 1e-9:
             endpoint_violations += 1
         if np.linalg.norm(bezier_point(c, 1.0) - pts[-1]) > 1e-9:
@@ -121,9 +122,10 @@ def test_2_geometry_property_suite():
 def test_3_simulator_sanity():
     # straight road drives clean
     pts = np.column_stack([np.linspace(0, 200, 7), np.full(7, 100.0)])
-    road = build_road(ControlPointSet(pts, 200.0), ROAD_PARAMS)
+    road = build_road(ControlPointSet(pts))
     result = run_test(road)
-    assert result.verdict == PASS and result.max_oob == 0.0 and result.completed
+    assert result.verdict == PASS and result.max_oob == 0.0
+    assert result.trajectory[-1].time < MAX_TIME - DT  # reached the road's end
 
     # constant steer traces a circle of radius wheelbase/tan(delta)
     vp = VehicleParams(speed=12.0)
@@ -145,8 +147,8 @@ def test_3_simulator_sanity():
     wiggly = ControlPointSet(np.array(
         [[43.643, 197.805], [55.718, 22.685], [98.85, 144.87],
          [122.541, 123.161], [127.774, 126.756], [129.811, 178.505],
-         [166.053, 14.54]]), 200.0)
-    tight = build_road(wiggly, ROAD_PARAMS)
+         [166.053, 14.54]]))
+    tight = build_road(wiggly)
     r1 = run_test(tight, VEHICLE_25)
     r2 = run_test(tight, VEHICLE_25)
     assert r1.max_oob == r2.max_oob
@@ -234,8 +236,7 @@ def test_7_report_fidelity(desk_runs, tmp_path):
 
     # archives replay to identical verdicts; SVGs well-formed
     report = runs["A", 1]
-    paths = write_report(report, tmp_path, road_params=ROAD_PARAMS,
-                         vparams=VEHICLE_25, sut=sut)
+    paths = write_report(report, tmp_path, vparams=VEHICLE_25, sut=sut)
     archive = load_archive(paths["archive"])
     ids = [r["id"] for r in archive["records"]]
     rng = np.random.default_rng(0)
@@ -253,7 +254,7 @@ def test_8_protocol_differential():
     roads = []
     while len(roads) < 50:
         ind = random_individual(rng, cfg)
-        road = build_road(ind.genotype, ROAD_PARAMS)
+        road = build_road(ind.genotype)
         if validate(road).valid:
             roads.append(road)
     sut = SutDescriptor(

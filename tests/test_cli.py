@@ -10,7 +10,7 @@ import pytest
 import roadsearch
 from roadsearch.cli import main
 from roadsearch.geometry import ControlPointSet
-from roadsearch.road import RoadParams, build_road, validate
+from roadsearch.road import build_road, validate
 
 
 def read_summary(path):
@@ -107,9 +107,8 @@ class TestRun:
         assert code == 0
         archive = json.load(open(out / "run01.json"))
         assert archive["config"]["sut"] == {"command": command, "timeout": 30.0}
-        rp = RoadParams()
         valid = [r for r in archive["records"]
-                 if validate(build_road(ControlPointSet(r["genotype"], 200.0), rp)).valid]
+                 if validate(build_road(ControlPointSet(r["genotype"]))).valid]
         assert valid
         assert all((r["verdict"], r["fitness"]) == ("FAIL", 99.0) for r in valid)
 
@@ -166,6 +165,22 @@ class TestReplayCommand:
         assert "built-in SUT" in captured.err and "some-sut" in captured.err
 
 
+    def test_replay_of_an_archive_without_a_sut_section(self, tmp_path, capsys):
+        # a config without a section reads it as defaults, as a config file
+        # does; replay used to die with a KeyError traceback
+        out = tmp_path / "out"
+        main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
+              "--out", str(out)])
+        archive = json.load(open(out / "run01.json"))
+        del archive["config"]["sut"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(archive))
+        capsys.readouterr()
+        code = main(["replay", "--archive", str(edited), "--test", "0"])
+        assert code == 0
+        assert "matches archive" in capsys.readouterr().out
+
+
 class TestRenderCommand:
     def test_render_failures(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -189,6 +204,26 @@ class TestRenderCommand:
         for name in names:
             assert (svg_out / name).read_bytes() == \
                 (out / f"run01_{name}").read_bytes()
+
+
+    @pytest.mark.parametrize("config", ["not a config", {"vehicle": "fast"}],
+                             ids=["config", "section"])
+    def test_render_of_an_archive_with_a_malformed_config(self, tmp_path, capsys, config):
+        # render used to die with an AttributeError traceback
+        out = tmp_path / "out"
+        main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
+              "--out", str(out)])
+        archive = json.load(open(out / "run01.json"))
+        archive["config"] = config
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(archive))
+        capsys.readouterr()
+        code = main(["render", "--archive", str(edited), "--out", str(tmp_path / "svgs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected an object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "svgs").exists()
 
 
 class TestEntryPoint:

@@ -12,22 +12,18 @@ from roadsearch.config import (
 
 class TestDefaults:
     def test_empty_dict_gives_documented_defaults(self):
-        search, road, vehicle, sut = parse_config_dict({})
+        search, vehicle, sut = parse_config_dict({})
         assert search.variant == "A"
         assert search.population_size == 25
-        assert search.num_control_points == 7
         assert search.max_evaluations == 300
         assert search.wall_time is None
-        assert road.lane_width == 4.0
-        assert road.map_size == 200.0
-        assert road.overlap_buffer == 8.0
         assert vehicle.speed == 12.0
         assert sut.command is None
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("")
-        search, road, vehicle, sut = parse_config_dict(read_config(path))
+        search, vehicle, sut = parse_config_dict(read_config(path))
         assert search.variant == "A" and search.population_size == 25
 
     def test_variant_c_population_default(self):
@@ -57,6 +53,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"search\.map_size"):
             parse_config_dict({"search": {"map_size": 100.0}})
 
+    def test_road_geometry_is_not_a_setting(self):
+        # the road geometry, the map and the control-point count are module
+        # constants; a file that sets one, even to its value, is refused
+        with pytest.raises(ConfigError, match="unknown section.*road"):
+            parse_config_dict({"road": {"lane_width": 4.0}})
+        with pytest.raises(ConfigError, match="unknown section.*road"):
+            parse_config_dict({"road": {}})
+        with pytest.raises(ConfigError, match=r"^search\.num_control_points: unknown key$"):
+            parse_config_dict({"search": {"num_control_points": 7}})
+
     def test_external_sut_needs_command(self):
         # a SUT is external exactly when it has a command; "kind" is no key
         with pytest.raises(ConfigError, match=r"sut\.kind"):
@@ -80,14 +86,11 @@ class TestValidation:
         # not a bool ("false" is truthy)
         path = tmp_path / "cfg.json"
         for text, key in (('{"vehicle": {"speed": NaN}}', "speed"),
-                          ('{"road": {"min_radius": NaN}}', "min_radius"),
                           ('{"search": {"wall_time": Infinity}}', "wall_time"),
                           ('{"sut": {"timeout": NaN}}', "timeout"),
                           ('{"sut": {"timeout": Infinity}}', "timeout"),
                           ('{"vehicle": {"speed": true}}', "speed"),
                           ('{"sut": {"timeout": true}}', "timeout"),
-                          ('{"road": {"lane_width": true}}', "lane_width"),
-                          ('{"road": {"overlap_buffer": false}}', "overlap_buffer"),
                           ('{"search": {"wall_time": true}}', "wall_time"),
                           ('{"search": {"novelty_filter": "false"}}', "novelty_filter"),
                           ('{"search": {"novelty_filter": 0}}', "novelty_filter")):
@@ -102,11 +105,8 @@ class TestValidation:
                           ('{"search": {"seed": -1}}', "seed"),
                           ('{"search": {"seed": true}}', "seed"),
                           ('{"search": {"population_size": 2.5}}', "population_size"),
-                          ('{"search": {"num_control_points": 4.5}}', "num_control_points"),
                           ('{"search": {"max_evaluations": 60.5}}', "max_evaluations"),
-                          ('{"search": {"population_size": true}}', "population_size"),
-                          ('{"road": {"num_samples": 50.5}}', "num_samples"),
-                          ('{"road": {"num_samples": true}}', "num_samples")):
+                          ('{"search": {"population_size": true}}', "population_size")):
             path.write_text(text)
             with pytest.raises(ConfigError, match=key):
                 parse_config_dict(read_config(path))
@@ -126,16 +126,15 @@ class TestValidation:
     def test_settable_keys(self):
         data = serialize_config(*parse_config_dict({}))
         assert {s: sorted(v) for s, v in data.items()} == {
-            "search": ["max_evaluations", "novelty_filter", "num_control_points",
-                       "population_size", "seed", "variant", "wall_time"],
-            "road": ["lane_width", "map_size", "min_radius", "num_samples", "overlap_buffer"],
+            "search": ["max_evaluations", "novelty_filter", "population_size", "seed",
+                       "variant", "wall_time"],
             "vehicle": ["speed"],
             "sut": ["command", "timeout"],
         }
 
     def test_section_must_be_object(self):
-        with pytest.raises(ConfigError, match="road"):
-            parse_config_dict({"road": [1, 2, 3]})
+        with pytest.raises(ConfigError, match="vehicle"):
+            parse_config_dict({"vehicle": [1, 2, 3]})
 
 
 class TestRoundTrip:
@@ -143,17 +142,12 @@ class TestRoundTrip:
         data = {
             "search": {"variant": "B", "seed": 99, "novelty_filter": True,
                        "max_evaluations": 500},
-            "road": {"lane_width": 3.5, "map_size": 300.0},
             "vehicle": {"speed": 25.0},
             "sut": {"command": "cat", "timeout": 5.0},
         }
         parsed = parse_config_dict(data)
         again = parse_config_dict(serialize_config(*parsed))
         assert again == parsed
-
-    def test_map_size_shared_with_search(self):
-        search, road, *_ = parse_config_dict({"road": {"map_size": 300.0}})
-        assert search.map_size == 300.0 == road.map_size
 
     def test_round_trip_through_file(self, tmp_path):
         parsed = parse_config_dict({"search": {"variant": "C"}})

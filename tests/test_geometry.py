@@ -15,7 +15,7 @@ from roadsearch.geometry import (
     polyline_lengths,
     sample_bezier,
 )
-from roadsearch.road import RoadParams, build_road
+from roadsearch.road import build_road
 
 from geometry_oracles import (
     bezier_point,
@@ -29,8 +29,8 @@ from geometry_oracles import (
 GOLDEN = Path(__file__).parent / "data" / "golden_roads.json"
 
 
-def cps(points, map_size=200.0):
-    return ControlPointSet(np.asarray(points, dtype=float), map_size)
+def cps(points):
+    return ControlPointSet(np.asarray(points, dtype=float))
 
 
 class TestControlPointSet:
@@ -45,28 +45,27 @@ class TestControlPointSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cps([[0, 0], [np.nan, 1]])
-        for map_size in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                cps([[0, 0], [1, 1]], map_size)
+        with pytest.raises(ValueError):
+            cps([[0, 0], [np.inf, 1]])
 
 
 class TestBezierPoint:
     def test_linear_midpoint(self):
-        p = bezier_point(cps([[0, 0], [10, 0]], 20), 0.5)
+        p = bezier_point(cps([[0, 0], [10, 0]]), 0.5)
         assert np.allclose(p, [5, 0])
 
     def test_endpoints(self):
-        c = cps([[0, 0], [2, 2], [4, 0]], 10)
+        c = cps([[0, 0], [2, 2], [4, 0]])
         assert np.allclose(bezier_point(c, 0.0), [0, 0])
         assert np.allclose(bezier_point(c, 1.0), [4, 0])
 
     def test_quadratic_midpoint(self):
         # B(1/2) = P0/4 + P1/2 + P2/4
-        p = bezier_point(cps([[0, 0], [2, 2], [4, 0]], 10), 0.5)
+        p = bezier_point(cps([[0, 0], [2, 2], [4, 0]]), 0.5)
         assert np.allclose(p, [2, 1])
 
     def test_t_out_of_range(self):
-        c = cps([[0, 0], [1, 1]], 10)
+        c = cps([[0, 0], [1, 1]])
         with pytest.raises(ValueError):
             bezier_point(c, 1.5)
         with pytest.raises(ValueError):
@@ -75,27 +74,27 @@ class TestBezierPoint:
 
 class TestSampleBezier:
     def test_linear(self):
-        pts = sample_bezier(cps([[0, 0], [10, 0]], 20), 3)
+        pts = sample_bezier(cps([[0, 0], [10, 0]]), 3)
         assert np.allclose(pts, [[0, 0], [5, 0], [10, 0]])
 
     def test_two_samples_are_endpoints(self):
-        pts = sample_bezier(cps([[0, 0], [2, 2], [4, 0]], 10), 2)
+        pts = sample_bezier(cps([[0, 0], [2, 2], [4, 0]]), 2)
         assert np.allclose(pts, [[0, 0], [4, 0]])
 
     def test_quadratic_five_samples(self):
         # de Casteljau by hand at t in {0, 1/4, 1/2, 3/4, 1}
-        pts = sample_bezier(cps([[0, 0], [2, 2], [4, 0]], 10), 5)
+        pts = sample_bezier(cps([[0, 0], [2, 2], [4, 0]]), 5)
         assert np.allclose(pts, [[0, 0], [1, 0.75], [2, 1], [3, 0.75], [4, 0]])
 
     def test_coincident_samples_collapse(self):
         # both control points identical except the last: early samples repeat
-        pts = sample_bezier(cps([[1, 1], [1, 1], [1, 1], [2, 1]], 10), 50)
+        pts = sample_bezier(cps([[1, 1], [1, 1], [1, 1], [2, 1]]), 50)
         d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert (d > 0).all()
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            sample_bezier(cps([[0, 0], [1, 0]], 10), 1)
+            sample_bezier(cps([[0, 0], [1, 0]]), 1)
 
 
 @st.composite
@@ -155,7 +154,7 @@ class TestDiscreteFrechet:
 @pytest.fixture(scope="module")
 def golden_centerlines():
     entries = json.loads(GOLDEN.read_text())["entries"][:20]
-    return [build_road(ControlPointSet(np.asarray(e["points"]), 200.0), RoadParams()).centerline
+    return [build_road(ControlPointSet(np.asarray(e["points"]))).centerline
             for e in entries]
 
 
@@ -276,7 +275,7 @@ class TestBezierProperties:
         rng = np.random.default_rng(99)
         for _ in range(200):
             n = rng.integers(2, 10)
-            c = ControlPointSet(rng.uniform(0, 200, (n, 2)), 200.0)
+            c = ControlPointSet(rng.uniform(0, 200, (n, 2)))
             assert np.linalg.norm(bezier_point(c, 0.0) - c.points[0]) < 1e-9
             assert np.linalg.norm(bezier_point(c, 1.0) - c.points[-1]) < 1e-9
 
@@ -286,7 +285,7 @@ class TestBezierProperties:
         for _ in range(1000):
             n = int(rng.integers(3, 9))
             pts = rng.uniform(0, 200, (n, 2))
-            c = ControlPointSet(pts, 200.0)
+            c = ControlPointSet(pts)
             try:
                 hull = scipy_spatial.ConvexHull(pts)
             except scipy_spatial.QhullError:

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import logging
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import roadsearch
+from roadsearch import protocol
 from roadsearch.geometry import ControlPointSet
 from roadsearch.protocol import (
     ERR_PROTOCOL,
@@ -23,9 +23,9 @@ from roadsearch.protocol import (
     serialize_road_line,
     serve_builtin,
 )
-from roadsearch.road import RoadParams, build_road, road_from_dict, validate
+from roadsearch.road import build_road, road_from_dict, road_to_dict, validate
 from roadsearch.search import SearchConfig, builtin_driver, random_individual
-from roadsearch.simulator import INVALID, VehicleParams, run_test
+from roadsearch.simulator import INVALID, VehicleParams, invalid_result, run_test
 
 PY = sys.executable
 ALL_POINTS = ("centerline", "left_boundary", "right_boundary")
@@ -33,11 +33,10 @@ ALL_POINTS = ("centerline", "left_boundary", "right_boundary")
 
 def valid_road(seed=3):
     rng = np.random.default_rng(seed)
-    rp = RoadParams()
     cfg = SearchConfig(seed=0)
     while True:
         ind = random_individual(rng, cfg)
-        road = build_road(ind.genotype, rp)
+        road = build_road(ind.genotype)
         if validate(road).valid:
             return road
 
@@ -64,8 +63,10 @@ class TestSutDescriptor:
 
 class TestReplyParsing:
     def test_good_reply(self):
-        r = parse_reply('{"verdict": "PASS", "max_oob": 1.25, "completed": true}')
-        assert r.verdict == "PASS" and r.max_oob == 1.25 and r.completed
+        r = parse_reply('{"verdict": "PASS", "max_oob": 1.25}')
+        assert r.verdict == "PASS" and r.max_oob == 1.25 and r.error is None
+        # an older SUT's "completed" is one more ignored key
+        assert parse_reply('{"verdict": "PASS", "max_oob": 1.25, "completed": true}') == r
 
     def test_trajectory_key_ignored(self):
         r = parse_reply('{"verdict": "FAIL", "max_oob": 97.0, '
@@ -119,10 +120,9 @@ class TestServeBuiltin:
     def test_invalid_roads_answered_without_driving(self):
         # a finite but degenerate road line used to be driven and answered
         # FAIL with max_oob 100; the server now validates like every caller
-        rp = RoadParams()
         golden = {e["verdict"]: e for e in GOLDEN["entries"] if e["speed"] == 25.0}
-        too_sharp = build_road(ControlPointSet(golden["INVALID"]["points"], 200.0), rp)
-        road = build_road(ControlPointSet(golden["FAIL"]["points"], 200.0), rp)
+        too_sharp = build_road(ControlPointSet(golden["INVALID"]["points"]))
+        road = build_road(ControlPointSet(golden["FAIL"]["points"]))
         degenerate = json.loads(serialize_road_line(road))
         degenerate.update({key: [[0, 0], [0, 0]] for key in ALL_POINTS})
         assert not validate(road_from_dict(degenerate)).valid
@@ -171,13 +171,42 @@ class TestServeBuiltin:
                (direct.verdict, direct.max_oob)
 
     def test_road_serialization_round_trip(self):
-        custom = RoadParams(lane_width=3.5, num_samples=60, min_radius=5.0,
-                            map_size=250.0, overlap_buffer=6.0)
-        for params in (RoadParams(), custom):
-            road = dataclasses.replace(valid_road(), params=params)
-            again = road_from_dict(json.loads(serialize_road_line(road)))
-            assert np.array_equal(again.centerline, road.centerline)
-            assert again.params == road.params
+        road = valid_road()
+        line = serialize_road_line(road)
+        again = road_from_dict(json.loads(line))
+        for key in ALL_POINTS:
+            assert np.array_equal(getattr(again, key), getattr(road, key))
+        assert serialize_road_line(again) == line
+
+    def test_other_road_params_answered_invalid(self, monkeypatch):
+        # a road built under another geometry is not judged under this one:
+        # it is refused as a protocol error, before validation and driving
+        tags = []
+        monkeypatch.setattr(protocol, "invalid_result",
+                            lambda error=None: tags.append(error) or invalid_result(error))
+        road = valid_road()
+        custom = {"lane_width": 3.5, "num_samples": 60, "min_radius": 5.0,
+                  "map_size": 250.0, "overlap_buffer": 6.0}
+        lines = []
+        for key, value in custom.items():
+            data = road_to_dict(road)
+            data["params"][key] = value
+            lines.append(json.dumps(data))
+        lines.append(json.dumps({**road_to_dict(road), "params": custom}))
+        lines.append(serialize_road_line(road))
+        driven = []
+        drive = builtin_driver(VehicleParams(speed=25.0))
+        stdout = io.StringIO()
+        serve_builtin(lambda r: driven.append(r) or drive(r),
+                      io.StringIO("".join(ln + "\n" for ln in lines)), stdout)
+        replies = [json.loads(ln) for ln in stdout.getvalue().splitlines()]
+        assert len(replies) == len(lines) and len(driven) == 1
+        for reply in replies[:-1]:
+            assert reply == {"verdict": INVALID, "max_oob": 0.0}
+        assert tags == [ERR_PROTOCOL] * (len(lines) - 1)
+        direct = drive(road)
+        assert (replies[-1]["verdict"], replies[-1]["max_oob"]) == \
+               (direct.verdict, direct.max_oob)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_roads.json").read_text())
@@ -188,8 +217,7 @@ class TestServerChild:
         # one server process, every road on one stdin until EOF; PYTHONPATH
         # and cwd as in test_cli's entry-point test, so the child runs the
         # tree under test
-        rp = RoadParams()
-        roads = [road for road in (build_road(ControlPointSet(e["points"], 200.0), rp)
+        roads = [road for road in (build_road(ControlPointSet(e["points"]))
                                    for e in GOLDEN["entries"]) if validate(road).valid][:12]
         drive = builtin_driver(VehicleParams(speed=25.0))
         direct = [drive(road) for road in roads]
@@ -278,18 +306,17 @@ class TestRunLevelEquivalence:
         from roadsearch.cli import _driver
         from roadsearch.search import SearchConfig, builtin_driver, evaluate, run_search
 
-        rp = RoadParams()
         vp = VehicleParams(speed=25.0)
         cfg = SearchConfig(variant="B", max_evaluations=12, seed=4)
         drive = builtin_driver(vp)
-        direct = run_search(cfg, lambda ind: evaluate(ind, rp, drive))
+        direct = run_search(cfg, lambda ind: evaluate(ind, drive))
 
         # the external driver exactly as `roadsearch run --sut` builds it
         sut = SutDescriptor(
             command=f"{PY} -m roadsearch.protocol --speed 25",
             timeout=120.0)
         external = _driver(sut, vp)
-        wrapped = run_search(cfg, lambda ind: evaluate(ind, rp, external))
+        wrapped = run_search(cfg, lambda ind: evaluate(ind, external))
 
         assert [e["kind"] for e in direct.events] == \
                [e["kind"] for e in wrapped.events]

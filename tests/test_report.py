@@ -20,7 +20,7 @@ from roadsearch.report import (
     write_report,
     write_summary_csv,
 )
-from roadsearch.road import RoadParams, build_road
+from roadsearch.road import build_road
 from roadsearch.search import (
     FAIL,
     PASS,
@@ -33,14 +33,14 @@ from roadsearch.search import (
 )
 from roadsearch.simulator import VehicleParams
 
-RP = RoadParams()
 VP = VehicleParams(speed=25.0)
 BUILTIN = SutDescriptor()
 
 # written by `roadsearch run --variant B --seed 5 --budget-evals 20` at
-# 25 m/s while the GA's rates and the vehicle geometry were config keys,
-# so its config holds all eleven at their values; with the SHA-256 of the
-# two failure SVGs that run wrote
+# 25 m/s while the GA's rates, the vehicle geometry, the road geometry, the
+# map and the control-point count were config keys, so its config holds all
+# seventeen at their values; with the SHA-256 of the two failure SVGs that
+# run wrote
 RETIRED_KEYS_ARCHIVE = Path(__file__).parent / "data" / "archive_retired_keys.json"
 RETIRED_KEYS_SVGS = {
     "fail_0007.svg": "d3677cb1ffce569df30be6d7f85891c58bcbd47b7fd5eb91f63cb66b6168bda5",
@@ -58,11 +58,11 @@ def stub_report(fail_centerline_xs, n_pass=2, config=None):
     records = []
     failures = []
     for i, x in enumerate(fail_centerline_xs):
-        geno = ControlPointSet(straight_points(y=100.0 + i), 200.0)
+        geno = ControlPointSet(straight_points(y=100.0 + i))
         records.append(TestRecord(len(records), geno, FAIL, 99.0, 0.01))
         failures.append(np.array([[float(x), 0.0]]))
     for i in range(n_pass):
-        geno = ControlPointSet(straight_points(y=50.0 + i), 200.0)
+        geno = ControlPointSet(straight_points(y=50.0 + i))
         records.append(TestRecord(len(records), geno, PASS, 0.0, 0.01))
     n = len(failures)
     if n >= 2:
@@ -110,7 +110,7 @@ class TestSummary:
 class TestWriteReport:
     def test_emits_archive_summary_and_svgs(self, tmp_path):
         report = stub_report([0.0, 10.0])
-        paths = write_report(report, tmp_path, road_params=RP, vparams=VP,
+        paths = write_report(report, tmp_path, vparams=VP,
                              sut=BUILTIN, run_id=1)
         assert paths["archive"].exists()
         assert paths["summary"].exists()
@@ -120,7 +120,7 @@ class TestWriteReport:
 
     def test_archive_is_replayable_json(self, tmp_path):
         report = stub_report([0.0])
-        paths = write_report(report, tmp_path, road_params=RP, vparams=VP,
+        paths = write_report(report, tmp_path, vparams=VP,
                              sut=BUILTIN)
         archive = load_archive(paths["archive"])
         assert archive["version"]
@@ -130,7 +130,7 @@ class TestWriteReport:
 
     def test_summary_arithmetic_from_file(self, tmp_path):
         report = stub_report([0.0, 10.0], n_pass=4)
-        paths = write_report(report, tmp_path, road_params=RP, vparams=VP,
+        paths = write_report(report, tmp_path, vparams=VP,
                              sut=BUILTIN)
         with open(paths["summary"]) as fh:
             row = next(csv.DictReader(fh))
@@ -141,9 +141,9 @@ class TestWriteReport:
 def real_run(tmp_path_factory):
     cfg = SearchConfig(variant="A", max_evaluations=40, seed=6)
     drive = builtin_driver(VP)
-    report = run_search(cfg, lambda ind: evaluate(ind, RP, drive))
+    report = run_search(cfg, lambda ind: evaluate(ind, drive))
     out = tmp_path_factory.mktemp("run")
-    paths = write_report(report, out, road_params=RP, vparams=VP, sut=BUILTIN)
+    paths = write_report(report, out, vparams=VP, sut=BUILTIN)
     return report, paths
 
 
@@ -158,14 +158,12 @@ class TestReplay:
     def test_aggregates_recomputable_from_archive(self, real_run):
         report, paths = real_run
         archive = load_archive(paths["archive"])
-        road_params = RoadParams(**archive["config"]["road"])
         fails = [r for r in archive["records"] if r["verdict"] == FAIL]
         agg = archive["aggregates"]
         assert agg["F"] == len(fails)
         if len(fails) >= 2:
-            curves = [build_road(ControlPointSet(np.asarray(r["genotype"]),
-                                                 road_params.map_size),
-                                 road_params).centerline for r in fails]
+            curves = [build_road(ControlPointSet(np.asarray(r["genotype"]))).centerline
+                      for r in fails]
             dists = [frechet_pairs(curves[i], curves[j])[0]
                      for i in range(len(curves)) for j in range(i + 1, len(curves))]
             assert np.mean(dists) == pytest.approx(agg["avg_frechet_failures"], abs=1e-6)
@@ -228,14 +226,14 @@ class TestReplay:
 
     def test_tampered_record_diverges(self, tmp_path):
         # archive a straight road with a blatantly wrong stored fitness
-        geno = ControlPointSet(straight_points(), 200.0)
+        geno = ControlPointSet(straight_points())
         report = RunReport(
             config=SearchConfig(variant="A", max_evaluations=1, seed=0),
             records=[TestRecord(0, geno, FAIL, 99.0, 0.01)],
             events=[], aggregates={"T": 1, "P": 0, "I": 0, "F": 1,
                                    "avg_frechet_failures": None,
                                    "max_frechet_failures": None})
-        archive = archive_to_dict(report, RP, VP, BUILTIN)
+        archive = archive_to_dict(report, VP, BUILTIN)
         with pytest.raises(ReplayDivergence):
             replay(archive, 0)
 
@@ -248,7 +246,7 @@ class TestReplay:
         report = stub_report([0.0])
         ext = SutDescriptor(command="some-sut --flag",
                             timeout=5.0)
-        archive = archive_to_dict(report, RP, VP, ext)
+        archive = archive_to_dict(report, VP, ext)
         with pytest.raises(ValueError, match="external SUT"):
             replay(archive, 0)
         with pytest.raises(ValueError, match="mismatch"):
@@ -256,13 +254,17 @@ class TestReplay:
 
 
 class TestRetiredSettings:
-    """Archives from before the GA's rates and the vehicle geometry became
-    module constants."""
+    """Archives from before the GA's rates, the vehicle geometry, the road
+    geometry, the map and the control-point count became module constants."""
 
     def test_archive_with_retired_keys_replays_and_renders(self, tmp_path):
         archive = load_archive(RETIRED_KEYS_ARCHIVE)
         assert archive["config"]["search"]["tournament_size"] == 2
+        assert archive["config"]["search"]["num_control_points"] == 7
         assert archive["config"]["vehicle"]["lookahead"] == 8.0
+        assert archive["config"]["road"] == {"lane_width": 4.0, "num_samples": 100,
+                                             "min_radius": 7.0, "map_size": 200.0,
+                                             "overlap_buffer": 8.0}
         for rec in archive["records"]:
             assert replay(archive, rec["id"]).verdict == rec["verdict"]
         svgs = render_failures(archive, tmp_path)
@@ -272,6 +274,8 @@ class TestRetiredSettings:
     @pytest.mark.parametrize("section, key, value", [
         ("vehicle", "lookahead", 6.0),
         ("search", "tournament_size", 3),
+        ("road", "lane_width", 3.5),
+        ("search", "num_control_points", 5),
     ])
     def test_archive_run_at_another_value_is_refused(self, tmp_path, section, key, value):
         # it would replay and render under a setting it was not run with

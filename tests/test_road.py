@@ -9,7 +9,12 @@ from roadsearch.road import (
     OVERLAP,
     TOO_SHARP,
     TOO_SHORT,
-    RoadParams,
+    FOLD_EXEMPT_LANE_WIDTHS,
+    LANE_WIDTH,
+    MIN_RADIUS,
+    NUM_SAMPLES,
+    OVERLAP_BUFFER,
+    _folds_back,
     build_road,
     road_from_dict,
     road_to_dict,
@@ -17,45 +22,57 @@ from roadsearch.road import (
 )
 
 
-def straight_cps(y=100.0, n=7, map_size=200.0):
-    pts = np.column_stack([np.linspace(0, map_size, n), np.full(n, y)])
-    return ControlPointSet(pts, map_size)
+def straight_cps(y=100.0, n=7):
+    pts = np.column_stack([np.linspace(0, 200, n), np.full(n, y)])
+    return ControlPointSet(pts)
 
 
-def arc_cps(center, radius, deg_from, deg_to, n=7, map_size=200.0):
+def arc_cps(center, radius, deg_from, deg_to, n=7):
     ang = np.radians(np.linspace(deg_from, deg_to, n))
     pts = np.column_stack([center[0] + radius * np.cos(ang),
                            center[1] + radius * np.sin(ang)])
-    return ControlPointSet(pts, map_size)
+    return ControlPointSet(pts)
+
+
+def road_line(**params):
+    """A protocol road line of a straight road, its params changed."""
+    data = road_to_dict(build_road(straight_cps()))
+    data["params"].update(params)
+    return data
 
 
 class TestRoadParams:
+    """The road line's ``params``: the fixed geometry, and nothing else."""
+
     def test_overlap_buffer_defaults_to_road_width(self):
-        assert RoadParams().overlap_buffer == 8.0
-        assert RoadParams(lane_width=3.0).overlap_buffer == 6.0
+        assert OVERLAP_BUFFER == 2.0 * LANE_WIDTH == 8.0
+        assert road_to_dict(build_road(straight_cps()))["params"] == {
+            "lane_width": 4.0, "num_samples": 100, "min_radius": 7.0,
+            "map_size": 200.0, "overlap_buffer": 8.0}
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RoadParams(lane_width=0)
-        with pytest.raises(ValueError):
-            RoadParams(num_samples=1)
-        with pytest.raises(ValueError, match="integer"):
-            RoadParams(num_samples=50.5)  # used to crash numpy mid-run
-        with pytest.raises(ValueError):
-            RoadParams(min_radius=-1)
+        # a road built under another geometry would be judged under this one
+        for params in ({"lane_width": 0}, {"lane_width": 3.5}, {"num_samples": 1},
+                       {"num_samples": 50.5}, {"min_radius": -1}, {"map_size": 250.0}):
+            with pytest.raises(ValueError, match="params"):
+                road_from_dict(road_line(**params))
+        data = road_line()
+        del data["params"]["overlap_buffer"]
+        with pytest.raises(ValueError, match="params"):
+            road_from_dict(data)
 
     @pytest.mark.parametrize("name", ["lane_width", "min_radius", "map_size",
                                       "overlap_buffer", "num_samples"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, name, value):
         # with a NaN min_radius no road would ever be too sharp
-        with pytest.raises(ValueError):
-            RoadParams(**{name: value})
+        with pytest.raises(ValueError, match="params"):
+            road_from_dict(road_line(**{name: value}))
 
 
 class TestBuildRoad:
     def test_straight_boundaries(self):
-        road = build_road(straight_cps(), RoadParams())
+        road = build_road(straight_cps())
         assert np.allclose(road.left_boundary[:, 1], 104.0)
         assert np.allclose(road.right_boundary[:, 1], 96.0)
         assert np.allclose(road.centerline[:, 1], 100.0)
@@ -64,12 +81,12 @@ class TestBuildRoad:
         rng = np.random.default_rng(5)
         for _ in range(10):
             pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-            road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+            road = build_road(ControlPointSet(pts))
             assert len(road.centerline) == len(road.left_boundary) == len(road.right_boundary)
 
     def test_right_curve_left_boundary_longer(self):
         # clockwise quarter arc: outer (left) boundary is longer
-        road = build_road(arc_cps((100, 20), 80, 90, 10), RoadParams())
+        road = build_road(arc_cps((100, 20), 80, 90, 10))
         left_len = polyline_lengths(road.left_boundary)[-1]
         right_len = polyline_lengths(road.right_boundary)[-1]
         assert left_len > right_len
@@ -78,7 +95,7 @@ class TestBuildRoad:
         rng = np.random.default_rng(11)
         for _ in range(10):
             pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-            road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+            road = build_road(ControlPointSet(pts))
             dl = np.linalg.norm(road.left_boundary - road.centerline, axis=1)
             dr = np.linalg.norm(road.right_boundary - road.centerline, axis=1)
             assert np.abs(dl - 4.0).max() < 1e-6
@@ -88,22 +105,22 @@ class TestBuildRoad:
         rng = np.random.default_rng(23)
         for _ in range(10):
             pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-            road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+            road = build_road(ControlPointSet(pts))
             seg = np.linalg.norm(np.diff(road.centerline, axis=0), axis=1)
             assert seg.max() - seg.min() < 0.2 * seg.mean() * 2
             assert np.abs(seg - seg.mean()).max() < 0.2 * seg.mean()
 
     def test_build_is_deterministic(self):
         c = straight_cps()
-        a = build_road(c, RoadParams())
-        b = build_road(c, RoadParams())
+        a = build_road(c)
+        b = build_road(c)
         assert np.array_equal(a.centerline, b.centerline)
         assert np.array_equal(a.left_boundary, b.left_boundary)
 
 
 class TestValidate:
     def test_straight_road_valid(self):
-        report = validate(build_road(straight_cps(), RoadParams()))
+        report = validate(build_road(straight_cps()))
         assert report.valid
         assert report.violations == []
 
@@ -111,7 +128,7 @@ class TestValidate:
         # control polygon sweeps an X; the curve crosses itself
         pts = np.array([[40.0, 40.0], [180.0, 180.0], [180.0, 40.0],
                         [40.0, 180.0], [40.0, 100.0], [120.0, 100.0]])
-        road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+        road = build_road(ControlPointSet(pts))
         report = validate(road)
         assert not report.valid
         assert OVERLAP in report.kinds()
@@ -120,21 +137,21 @@ class TestValidate:
         # control points on a 3 m circle arc; resulting curve is sharper
         # than the 7 m minimum turning radius
         cps = arc_cps((100, 100), 3.0, 180, 0)
-        road = build_road(cps, RoadParams())
-        assert min_curvature_radius(road.centerline) < 7.0
+        road = build_road(cps)
+        assert min_curvature_radius(road.centerline) < MIN_RADIUS
         report = validate(road)
         assert not report.valid
         assert TOO_SHARP in report.kinds()
 
     def test_boundary_out_of_map(self):
         # straight road hugging the top edge: left boundary leaves the map
-        road = build_road(straight_cps(y=198.0), RoadParams())
+        road = build_road(straight_cps(y=198.0))
         report = validate(road)
         assert OUT_OF_MAP in report.kinds()
 
     def test_too_short(self):
         pts = np.array([[100.0, 100.0], [101.0, 100.0], [102.0, 100.0]])
-        road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+        road = build_road(ControlPointSet(pts))
         report = validate(road)
         assert TOO_SHORT in report.kinds()
 
@@ -142,13 +159,13 @@ class TestValidate:
         rng = np.random.default_rng(3)
         for _ in range(30):
             pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-            report = validate(build_road(ControlPointSet(pts, 200.0), RoadParams()))
+            report = validate(build_road(ControlPointSet(pts)))
             assert report.valid == (len(report.violations) == 0)
 
     def test_validate_deterministic(self):
         rng = np.random.default_rng(17)
         pts = np.sort(rng.uniform(0, 200, (7, 2)), axis=0)
-        road = build_road(ControlPointSet(pts, 200.0), RoadParams())
+        road = build_road(ControlPointSet(pts))
         a = validate(road)
         b = validate(road)
         assert a.valid == b.valid and a.kinds() == b.kinds()
@@ -157,12 +174,14 @@ class TestValidate:
         # U-shaped road whose return pass sits ~12 m away
         pts = np.array([[20.0, 80.0], [120.0, 80.0], [170.0, 80.0],
                         [170.0, 92.0], [120.0, 92.0], [20.0, 92.0]])
-        cps = ControlPointSet(pts, 200.0)
+        road = build_road(ControlPointSet(pts))
+        exempt = FOLD_EXEMPT_LANE_WIDTHS * LANE_WIDTH
         flagged = []
         for buffer in (2.0, 6.0, 10.0, 14.0, 18.0, 24.0):
-            params = RoadParams(overlap_buffer=buffer)
-            road = build_road(cps, params)
-            flagged.append(OVERLAP in validate(road).kinds())
+            flagged.append(_folds_back(road.centerline, buffer, exempt))
+        # validate's OVERLAP is the same check at OVERLAP_BUFFER
+        assert (OVERLAP in validate(road).kinds()) == \
+            _folds_back(road.centerline, OVERLAP_BUFFER, exempt)
         # once flagged at some buffer, stays flagged for larger buffers
         for small, large in zip(flagged, flagged[1:]):
             assert (not small) or large
@@ -171,16 +190,17 @@ class TestValidate:
 
 class TestSerialization:
     def test_round_trip(self):
-        road = build_road(straight_cps(), RoadParams())
+        road = build_road(straight_cps())
         data = road_to_dict(road)
         back = road_from_dict(data)
         assert np.allclose(back.centerline, road.centerline)
         assert np.allclose(back.left_boundary, road.left_boundary)
         assert np.allclose(back.right_boundary, road.right_boundary)
-        assert back.params == road.params
+        assert road_to_dict(back) == data
+        assert len(road.centerline) == NUM_SAMPLES
 
     def test_schema_keys(self):
-        data = road_to_dict(build_road(straight_cps(), RoadParams()))
+        data = road_to_dict(build_road(straight_cps()))
         assert set(data) == {"centerline", "left_boundary", "right_boundary", "params"}
         assert set(data["params"]) == {"lane_width", "num_samples", "min_radius",
                                        "map_size", "overlap_buffer"}

@@ -5,7 +5,6 @@ import pytest
 
 from roadsearch import search
 from roadsearch.geometry import ControlPointSet, frechet_pairs
-from roadsearch.road import RoadParams
 from roadsearch.search import (
     FAIL,
     INVALID,
@@ -52,8 +51,8 @@ class FakeRng:
         return (np.asarray(low) + np.asarray(high)) / 2.0
 
 
-def make_ind(points, map_size=200.0, fitness=None, verdict=None):
-    ind = Individual(ControlPointSet(np.asarray(points, float), map_size))
+def make_ind(points, fitness=None, verdict=None):
+    ind = Individual(ControlPointSet(np.asarray(points, float)))
     ind.fitness, ind.verdict = fitness, verdict
     return ind
 
@@ -91,13 +90,11 @@ class TestSearchConfig:
         {"wall_time": math.nan}, {"wall_time": math.inf},
         {"max_evaluations": math.nan}, {"max_evaluations": math.inf},
         {"population_size": math.nan}, {"population_size": math.inf},
-        {"num_control_points": math.nan},
-        {"map_size": math.nan}, {"map_size": math.inf},
         # a float count crashes range() or numpy mid-run
         {"population_size": 2.5}, {"population_size": 25.0},
-        {"num_control_points": 4.5}, {"max_evaluations": 60.5},
+        {"max_evaluations": 60.5},
         # a bool is no duration or length, and a string no switch
-        {"wall_time": True}, {"map_size": True},
+        {"wall_time": True},
         {"novelty_filter": "false"}, {"novelty_filter": 1},
     ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
     def test_non_finite_rejected(self, bad):
@@ -149,7 +146,7 @@ class TestEvaluate:
     def test_collinear_road_passes_with_zero(self):
         pts = np.column_stack([np.linspace(10, 190, 7), np.full(7, 100.0)])
         ind = make_ind(pts)
-        evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
+        evaluate(ind, builtin_driver(VehicleParams()))
         assert ind.verdict == PASS
         assert ind.fitness == 0.0
         assert ind.centerline is not None
@@ -157,13 +154,13 @@ class TestEvaluate:
     def test_self_crossing_polygon_invalid(self):
         pts = [[40, 40], [180, 180], [180, 40], [40, 180], [40, 100], [120, 100], [150, 100]]
         ind = make_ind(pts)
-        evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
+        evaluate(ind, builtin_driver(VehicleParams()))
         assert ind.verdict == INVALID
         assert ind.fitness == 0.0
 
     def test_wiggly_road_nonzero_fitness_at_speed(self):
         ind = make_ind(WIGGLY_POINTS)
-        evaluate(ind, RoadParams(), builtin_driver(VehicleParams(speed=25.0)))
+        evaluate(ind, builtin_driver(VehicleParams(speed=25.0)))
         assert ind.verdict in (PASS, FAIL)
         assert ind.fitness > 0.0
 
@@ -171,13 +168,13 @@ class TestEvaluate:
         pts = [[40, 40], [180, 180], [180, 40], [40, 180], [40, 100], [120, 100], [150, 100]]
         driven = []
         ind = make_ind(pts)
-        evaluate(ind, RoadParams(), driven.append)
+        evaluate(ind, driven.append)
         assert ind.verdict == INVALID and driven == []
 
     def test_double_evaluate_rejected(self):
         ind = make_ind(WIGGLY_POINTS, fitness=1.0, verdict=PASS)
         with pytest.raises(ValueError):
-            evaluate(ind, RoadParams(), builtin_driver(VehicleParams()))
+            evaluate(ind, builtin_driver(VehicleParams()))
 
 
 class TestSelect:
@@ -512,7 +509,7 @@ class TestRunSearch:
     def test_reproducible_with_builtin_evaluator(self):
         cfg = SearchConfig(variant="B", max_evaluations=30, seed=8)
         drive = builtin_driver(VehicleParams(speed=25.0))
-        ev = lambda ind: evaluate(ind, RoadParams(), drive)
+        ev = lambda ind: evaluate(ind, drive)
         r1 = run_search(cfg, ev)
         r2 = run_search(cfg, ev)
         assert [e["kind"] for e in r1.events] == [e["kind"] for e in r2.events]

@@ -7,7 +7,7 @@ import pytest
 
 from roadsearch import simulator
 from roadsearch.geometry import ControlPointSet, min_curvature_radius
-from roadsearch.road import RoadParams, RoadSpec, build_road, validate
+from roadsearch.road import RoadSpec, build_road, validate
 from roadsearch.simulator import (
     DT,
     FAIL,
@@ -42,13 +42,13 @@ FAILING_POINTS = [[24.168, 122.524], [76.111, 6.78], [111.928, 167.398],
                   [149.369, 192.498]]
 
 
-def straight_road(y=100.0, map_size=200.0, n=7):
-    pts = np.column_stack([np.linspace(0, map_size, n), np.full(n, y)])
-    return build_road(ControlPointSet(pts, map_size), RoadParams(map_size=map_size))
+def straight_road(y=100.0, n=7):
+    pts = np.column_stack([np.linspace(0, 200, n), np.full(n, y)])
+    return build_road(ControlPointSet(pts))
 
 
 def road_from(points):
-    road = build_road(ControlPointSet(np.asarray(points), 200.0), RoadParams())
+    road = build_road(ControlPointSet(np.asarray(points)))
     assert validate(road).valid
     return road
 
@@ -193,7 +193,7 @@ class TestOobPercent:
     def test_degenerate_lane_rejected(self):
         road = straight_road()
         bad = RoadSpec(road.centerline, road.left_boundary,
-                       road.right_boundary[:10], road.params)
+                       road.right_boundary[:10])
         with pytest.raises(ValueError):
             lane_strip(bad)
 
@@ -203,7 +203,8 @@ class TestRunTest:
         result = run_test(straight_road())
         assert result.verdict == PASS
         assert result.max_oob == 0.0
-        assert result.completed
+        # the drive reached the road's end, well before the time cap
+        assert result.trajectory[-1].time < MAX_TIME - DT
 
     def test_wiggly_road_measurable_oob_at_speed(self):
         road = road_from(WIGGLY_POINTS)
@@ -240,7 +241,7 @@ class TestRunTest:
         road = road_from(WIGGLY_POINTS)
         flip = np.array([1.0, -1.0])
         mirrored = RoadSpec(road.centerline * flip, road.left_boundary * flip,
-                            road.right_boundary * flip, road.params)
+                            road.right_boundary * flip)
         vp = VehicleParams(speed=25.0)
         a = run_test(road, vp)
         b = run_test(mirrored, vp)
@@ -260,7 +261,7 @@ class TestRunTest:
         # at 1 m/s the 200 m road takes longer than the time cap
         result = run_test(straight_road(), VehicleParams(speed=1.0))
         assert result.verdict == PASS
-        assert not result.completed
+        # stopped by the time cap, not at the road's end
         assert abs(result.trajectory[-1].time - MAX_TIME) < DT / 2
         assert len(result.trajectory) - 1 == round(MAX_TIME / DT)
 
@@ -285,7 +286,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_roads.json").read_
 def golden_valid_roads():
     roads = []
     for entry in GOLDEN["entries"]:
-        road = build_road(ControlPointSet(np.asarray(entry["points"]), 200.0), RoadParams())
+        road = build_road(ControlPointSet(np.asarray(entry["points"])))
         if validate(road).valid:
             roads.append(road)
     return roads
