@@ -1,5 +1,5 @@
 """Planar geometry kernel: Bezier curves, discrete Frechet distance,
-segment-to-segment distances and curvature-radius estimation.
+arc lengths and curvature-radius estimation.
 
 Points are float arrays of shape (2,), polylines arrays of shape (n, 2),
 all in meters. Every function is pure: no hidden state, safe to call
@@ -17,7 +17,6 @@ __all__ = [
     "ControlPointSet",
     "sample_bezier",
     "frechet_pairs",
-    "segment_self_distances",
     "min_curvature_radius",
     "polyline_lengths",
 ]
@@ -172,45 +171,6 @@ def frechet_pairs(ps, qs) -> np.ndarray:
         out[part] = _frechet_sweep(_stack(p if len(p) == 1 else p[part]),
                                    _stack(q if len(q) == 1 else q[part]))
     return out
-
-
-def _point_segment_dist(points, a, b):
-    # all-pairs distance from points (m,2) to segments a->b (k,2)
-    ab = b - a  # (k,2)
-    denom = np.einsum("ij,ij->i", ab, ab)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    ap = points[:, None, :] - a[None, :, :]  # (m,k,2)
-    t = np.clip(np.einsum("mkj,kj->mk", ap, ab) / denom, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2)
-
-
-def segment_self_distances(p) -> np.ndarray:
-    """All-pairs distance matrix between the segments of a polyline.
-
-    Entry (i, j) is the minimum distance between segment i and segment j;
-    properly crossing pairs get exactly 0. Used by the road validator's
-    fold-back check.
-    """
-    p = _as_polyline(p, 2)
-    a, b = p[:-1], p[1:]
-
-    # proper crossings via orientation signs
-    ab = b - a
-    diff_aa = a[:, None, :] - a[None, :, :]  # a_i - a_j
-    diff_ba = b[:, None, :] - a[None, :, :]  # b_i - a_j
-    cross_j_ai = ab[None, :, 0] * diff_aa[:, :, 1] - ab[None, :, 1] * diff_aa[:, :, 0]
-    cross_j_bi = ab[None, :, 0] * diff_ba[:, :, 1] - ab[None, :, 1] * diff_ba[:, :, 0]
-    # segment j straddled by segment i's endpoints and vice versa
-    straddle_i = cross_j_ai * cross_j_bi < 0
-    crossing = straddle_i & straddle_i.T
-
-    # endpoint-to-segment distances cover touching and near misses
-    d_as = _point_segment_dist(a, a, b)  # d(a_i, seg_j)
-    d_bs = _point_segment_dist(b, a, b)
-    dist = np.minimum(np.minimum(d_as, d_bs), np.minimum(d_as.T, d_bs.T))
-    dist[crossing] = 0.0
-    return dist
 
 
 def min_curvature_radius(p) -> float:

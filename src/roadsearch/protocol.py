@@ -108,6 +108,7 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor) -> TestResult:
             input=request,
             capture_output=True,
             text=True,
+            errors="replace",  # bytes that are not UTF-8 must not crash the run
             timeout=sut.timeout,
         )
     except OSError:

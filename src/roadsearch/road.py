@@ -18,7 +18,6 @@ from .geometry import (
     min_curvature_radius,
     polyline_lengths,
     sample_bezier,
-    segment_self_distances,
 )
 
 __all__ = [
@@ -132,6 +131,47 @@ def build_road(cps: ControlPointSet) -> RoadSpec:
 # arc separation (in lane widths) under which centerline proximity is the
 # road simply continuing, not a fold; local sharpness is TOO_SHARP's job
 FOLD_EXEMPT_LANE_WIDTHS = 4.0
+# slack in meters on the bounding-box bound, far above the rounding of a
+# box gap or a distance on this map: a float projection can land an ulp
+# outside a segment's box and still give distance 0
+BOX_MARGIN = 1e-6
+
+
+def _near_pairs(center: np.ndarray, buffer: float, exempt_arc: float):
+    """The segment pairs (i, j >= i + 2) that may fold, as arrays
+    ``(i, j, gap, dist)``: the arc gap from the end of segment i to the
+    start of j, and the exact distance between them, 0 if they cross.
+
+    Broad phase: the gap between two segments' bounding boxes on their
+    wider-apart axis is a lower bound on their distance, so only pairs
+    whose boxes come within ``buffer`` beyond ``exempt_arc``, or touch,
+    can hit (Ericson, Real-Time Collision Detection, 2004, ch. 7). Narrow
+    phase: each kept pair's distance takes the same float operations as
+    an all-pairs distance matrix, so it is that matrix's entry bit for bit.
+    """
+    a, b = center[:-1], center[1:]
+    lo, hi = np.minimum(a, b).T, np.maximum(a, b).T
+    box = np.maximum(lo[0][None, :] - hi[0][:, None], lo[0][:, None] - hi[0][None, :])
+    np.maximum(box, lo[1][None, :] - hi[1][:, None], out=box)
+    np.maximum(box, lo[1][:, None] - hi[1][None, :], out=box)
+    cum = polyline_lengths(center)
+    gap = cum[:-1][None, :] - cum[1:][:, None]
+    maybe = ((box < buffer + BOX_MARGIN) & (gap > exempt_arc)) | (box <= BOX_MARGIN)
+    i, j = divmod(np.flatnonzero(maybe), len(maybe))
+    i, j = i[j >= i + 2], j[j >= i + 2]
+    # point p[k] against segment s[k] -> e[k]: each end of segment i
+    # against segment j, then each end of j against i
+    seg = np.concatenate([j, j, i, i])
+    p, s, e = center[np.concatenate([i, i + 1, j, j + 1])], center[seg], center[seg + 1]
+    se, ps = e - s, p - s
+    denom = np.einsum("ij,ij->i", se, se)
+    t = np.clip(np.einsum("ij,ij->i", ps, se) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    d = np.linalg.norm(p - (s + t[:, None] * se), axis=1).reshape(4, -1)
+    dist = np.minimum(np.minimum(d[0], d[1]), np.minimum(d[2], d[3]))
+    # a proper crossing: each segment's endpoints lie strictly either side of the other's line
+    side = (se[:, 0] * ps[:, 1] - se[:, 1] * ps[:, 0]).reshape(4, -1)
+    dist[(side[0] * side[1] < 0) & (side[2] * side[3] < 0)] = 0.0
+    return i, j, gap[i, j], dist
 
 
 def _folds_back(center: np.ndarray, buffer: float, exempt_arc: float) -> bool:
@@ -143,17 +183,8 @@ def _folds_back(center: np.ndarray, buffer: float, exempt_arc: float) -> bool:
     neighbours, and only far-apart proximity means overlapping asphalt.
     Crossings (distance exactly 0) always count.
     """
-    if len(center) < 3:
-        return False
-    dist = segment_self_distances(center)
-    cum = polyline_lengths(center)
-    m = len(center) - 1
-    # arc gap between the end of segment i and the start of segment j > i
-    gap = cum[:-1][None, :] - cum[1:][:, None]
-    idx = np.arange(m)
-    nonadjacent = idx[None, :] - idx[:, None] >= 2  # upper triangle, j >= i+2
-    hits = nonadjacent & (((gap > exempt_arc) & (dist < buffer)) | (dist == 0.0))
-    return bool(hits.any())
+    _, _, gap, dist = _near_pairs(center, buffer, exempt_arc)
+    return bool((((gap > exempt_arc) & (dist < buffer)) | (dist == 0.0)).any())
 
 
 def validate(road: RoadSpec) -> ValidityReport:

@@ -187,14 +187,14 @@ def _sorted_by_x(points: np.ndarray) -> np.ndarray:
     return points[np.argsort(points[:, 0], kind="stable")]
 
 
-def random_individual(rng, config: SearchConfig) -> Individual:
+def random_individual(rng) -> Individual:
     """Uniform control points in the map, kept sorted by x so roads run
     across the map instead of folding back at random."""
     pts = rng.uniform(0.0, MAP_SIZE, size=(NUM_CONTROL_POINTS, 2))
     return Individual(ControlPointSet(_sorted_by_x(pts)))
 
 
-def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
+def guided_seed_individual(rng, validity) -> Individual:
     """Draw a seed candidate with a soft preference for valid roads.
 
     Valid candidates are accepted immediately; invalid ones only with
@@ -202,7 +202,7 @@ def guided_seed_individual(rng, config: SearchConfig, validity) -> Individual:
     never strictly excluded. Used by variant C when reseeding.
     """
     while True:
-        ind = random_individual(rng, config)
+        ind = random_individual(rng)
         if validity(ind.genotype) or rng.random() < INVALID_SEED_ACCEPT_PROB:
             return ind
 
@@ -388,8 +388,8 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         for _ in range(config.population_size):
             if out_of_budget():
                 return
-            yield (guided_seed_individual(rng, config, validity) if guided
-                   else random_individual(rng, config))
+            yield (guided_seed_individual(rng, validity) if guided
+                   else random_individual(rng))
 
     def evaluate_in_order(batch):
         """Evaluate the batch's unevaluated individuals in order until the

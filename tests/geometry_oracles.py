@@ -1,7 +1,8 @@
 """Reference geometry that only the tests use: single-point Bezier
 evaluation, the discrete Frechet distance by a plain dynamic program and
 by exhaustive enumeration, a population's average pairwise Frechet
-distance, polyline self-intersection, shoelace area and convex clipping.
+distance, all-pairs segment distances with polyline self-intersection and
+the road's fold-back rule, shoelace area and convex clipping.
 
 They are kept as independent oracles next to the library's own routines
 (the sampled Bezier curve, the batched Frechet kernel, the novelty
@@ -10,7 +11,7 @@ simulator's lane-strip clipper), not as part of the library.
 """
 import numpy as np
 
-from roadsearch.geometry import ControlPointSet, segment_self_distances
+from roadsearch.geometry import ControlPointSet, polyline_lengths
 
 BRUTEFORCE_CELL_LIMIT = 64
 
@@ -100,6 +101,60 @@ def frechet_bruteforce(p, q) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def _point_segment_dist(points, a, b):
+    # all-pairs distance from points (m,2) to segments a->b (k,2)
+    ab = b - a  # (k,2)
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    ap = points[:, None, :] - a[None, :, :]  # (m,k,2)
+    t = np.clip(np.einsum("mkj,kj->mk", ap, ab) / denom, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.linalg.norm(points[:, None, :] - proj, axis=2)
+
+
+def segment_self_distances(p) -> np.ndarray:
+    """All-pairs distance matrix between the segments of a polyline.
+
+    Entry (i, j) is the minimum distance between segment i and segment j;
+    properly crossing pairs get exactly 0. The road validator's fold-back
+    check computes these entries for its candidate pairs only.
+    """
+    p = np.asarray(p, dtype=float)
+    a, b = p[:-1], p[1:]
+
+    # proper crossings via orientation signs
+    ab = b - a
+    diff_aa = a[:, None, :] - a[None, :, :]  # a_i - a_j
+    diff_ba = b[:, None, :] - a[None, :, :]  # b_i - a_j
+    cross_j_ai = ab[None, :, 0] * diff_aa[:, :, 1] - ab[None, :, 1] * diff_aa[:, :, 0]
+    cross_j_bi = ab[None, :, 0] * diff_ba[:, :, 1] - ab[None, :, 1] * diff_ba[:, :, 0]
+    # segment j straddled by segment i's endpoints and vice versa
+    straddle_i = cross_j_ai * cross_j_bi < 0
+    crossing = straddle_i & straddle_i.T
+
+    # endpoint-to-segment distances cover touching and near misses
+    d_as = _point_segment_dist(a, a, b)  # d(a_i, seg_j)
+    d_bs = _point_segment_dist(b, a, b)
+    dist = np.minimum(np.minimum(d_as, d_bs), np.minimum(d_as.T, d_bs.T))
+    dist[crossing] = 0.0
+    return dist
+
+
+def fold_hits(center, buffer: float, exempt_arc: float) -> np.ndarray:
+    """The road validator's fold-back rule over every segment pair, as a
+    boolean matrix: entry (i, j) is set when segments i and j >= i + 2
+    cross or touch (distance 0), or come within ``buffer`` of each other
+    more than ``exempt_arc`` apart along the curve. The road folds back
+    when any entry is set."""
+    center = np.asarray(center, dtype=float)
+    dist = segment_self_distances(center)
+    cum = polyline_lengths(center)
+    gap = cum[:-1][None, :] - cum[1:][:, None]
+    m = len(center) - 1
+    nonadjacent = np.arange(m)[None, :] - np.arange(m)[:, None] >= 2
+    return nonadjacent & (((gap > exempt_arc) & (dist < buffer)) | (dist == 0.0))
 
 
 def self_intersects(p, buffer: float) -> bool:

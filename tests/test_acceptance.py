@@ -250,10 +250,9 @@ def test_7_report_fidelity(desk_runs, tmp_path):
 
 def test_8_protocol_differential():
     rng = np.random.default_rng(55)
-    cfg = SearchConfig(seed=0)
     roads = []
     while len(roads) < 50:
-        ind = random_individual(rng, cfg)
+        ind = random_individual(rng)
         road = build_road(ind.genotype)
         if validate(road).valid:
             roads.append(road)

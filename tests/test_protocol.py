@@ -24,7 +24,7 @@ from roadsearch.protocol import (
     serve_builtin,
 )
 from roadsearch.road import build_road, road_from_dict, road_to_dict, validate
-from roadsearch.search import SearchConfig, builtin_driver, random_individual
+from roadsearch.search import builtin_driver, random_individual
 from roadsearch.simulator import INVALID, VehicleParams, invalid_result, run_test
 
 PY = sys.executable
@@ -33,9 +33,8 @@ ALL_POINTS = ("centerline", "left_boundary", "right_boundary")
 
 def valid_road(seed=3):
     rng = np.random.default_rng(seed)
-    cfg = SearchConfig(seed=0)
     while True:
-        ind = random_individual(rng, cfg)
+        ind = random_individual(rng)
         road = build_road(ind.genotype)
         if validate(road).valid:
             return road
@@ -279,6 +278,31 @@ class TestExternalEvaluate:
             r = external_evaluate(valid_road(), sut)
         assert r.verdict == "PASS" and r.max_oob == 1.5 and r.error is None
         assert any("status 2" in rec.getMessage() for rec in caplog.records)
+
+    def test_non_utf8_reply_is_protocol_error(self, caplog, tmp_path):
+        # undecodable stdout used to raise UnicodeDecodeError out of the run
+        script = tmp_path / "sut.py"
+        script.write_text('import sys\n'
+                          'sys.stdout.buffer.write(b"\\xff\\n")\n')
+        sut = SutDescriptor(command=f"{PY} {script}", timeout=60.0)
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            r = external_evaluate(valid_road(), sut)
+        assert r.verdict == INVALID and r.error == ERR_PROTOCOL
+        assert any("malformed reply" in rec.getMessage() for rec in caplog.records)
+
+    def test_non_utf8_stderr_keeps_a_wellformed_verdict(self, caplog, tmp_path):
+        script = tmp_path / "sut.py"
+        script.write_text('import sys\n'
+                          'print(\'{"verdict": "FAIL", "max_oob": 42.0}\', flush=True)\n'
+                          'sys.stderr.buffer.write(b"bad \\xff byte\\n")\n'
+                          'sys.exit(2)\n')
+        sut = SutDescriptor(command=f"{PY} {script}", timeout=60.0)
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            r = external_evaluate(valid_road(), sut)
+        assert r.verdict == "FAIL" and r.max_oob == 42.0 and r.error is None
+        message = next(rec.getMessage() for rec in caplog.records
+                       if rec.name == "roadsearch" and rec.levelno == logging.WARNING)
+        assert "status 2" in message and "bad \ufffd byte" in message
 
     def test_timeout_flagged(self):
         road = valid_road()

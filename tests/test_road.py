@@ -1,8 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geometry_oracles import fold_hits, segment_self_distances
+from roadsearch import road as road_module
 from roadsearch.geometry import ControlPointSet, min_curvature_radius, polyline_lengths
 from roadsearch.road import (
     OUT_OF_MAP,
@@ -15,6 +21,7 @@ from roadsearch.road import (
     NUM_SAMPLES,
     OVERLAP_BUFFER,
     _folds_back,
+    _near_pairs,
     build_road,
     road_from_dict,
     road_to_dict,
@@ -186,6 +193,101 @@ class TestValidate:
         for small, large in zip(flagged, flagged[1:]):
             assert (not small) or large
         assert flagged[-1]  # a 24 m buffer must catch a 12 m fold
+
+
+EXEMPT_ARC = FOLD_EXEMPT_LANE_WIDTHS * LANE_WIDTH
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_roads.json").read_text())
+
+
+def check_against_oracle(center, buffer=OVERLAP_BUFFER, exempt_arc=EXEMPT_ARC) -> bool:
+    """Require the two-phase fold check to give the all-pairs verdict, to
+    keep every pair that hits, and to compute each kept pair's arc gap and
+    distance bit for bit as the all-pairs matrices do; returns the verdict."""
+    center = np.asarray(center, dtype=float)
+    hits = fold_hits(center, buffer, exempt_arc)
+    assert _folds_back(center, buffer, exempt_arc) == hits.any()
+    i, j, gap, dist = _near_pairs(center, buffer, exempt_arc)
+    assert (j >= i + 2).all()
+    assert set(zip(*np.nonzero(hits))) <= set(zip(i, j))
+    cum = polyline_lengths(center)
+    assert gap.tobytes() == (cum[j] - cum[i + 1]).tobytes()
+    assert dist.tobytes() == segment_self_distances(center)[i, j].tobytes()
+    return bool(hits.any())
+
+
+@st.composite
+def polylines(draw):
+    # small integer grids give exact touches, collinear overlaps and
+    # repeated points; the continuous draws give general position
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        coord = st.integers(0, 12).map(float)
+    else:
+        coord = st.floats(0, 40, allow_nan=False, allow_infinity=False)
+    return np.array([[draw(coord), draw(coord)] for _ in range(n)])
+
+
+class TestFoldCheckOracle:
+    """``_folds_back`` against the all-pairs rule of ``geometry_oracles``."""
+
+    def test_tiny_loop_crossing_inside_exempt_arc(self):
+        # the fourth segment crosses the first 4 m of arc later
+        loop = [[0, 0], [4, 0], [4, 2], [2, 2], [2, -2], [6, -2]]
+        assert check_against_oracle(loop)
+
+    def test_vertex_on_nonadjacent_segment(self):
+        # the last vertex lies on the first segment: distance 0, no proper crossing
+        touch = np.array([[0, 0], [10, 0], [10, 5], [5, 5], [5, 0]], dtype=float)
+        assert segment_self_distances(touch)[0, 3] == 0.0
+        assert check_against_oracle(touch)
+        touch[-1, 1] = 1e-9  # a hair above it, and within the exempt arc
+        assert not check_against_oracle(touch)
+
+    @pytest.mark.parametrize("offset, folds", [
+        (OVERLAP_BUFFER, False), (np.nextafter(OVERLAP_BUFFER, 0.0), True)])
+    def test_parallel_return_pass_at_the_buffer(self, offset, folds):
+        # out along y = 0 and back along y = offset, 48 m of arc later
+        u_turn = [[0, 0], [100, 0], [120, 0], [120, offset], [100, offset], [0, offset]]
+        assert check_against_oracle(u_turn) is folds
+
+    def test_touch_one_ulp_outside_the_box(self, monkeypatch):
+        # a + (b - a) rounds one ulp past b in x, so a later vertex there
+        # projects onto the first segment at distance exactly 0 while its
+        # segments' boxes lie an ulp outside the first one's
+        a, b = np.array([14.672525713279342, 11.92283054479322]), \
+            np.array([160.3788111780643, 120.27014453209075])
+        p = a + (b - a)
+        assert p[0] == np.nextafter(b[0], np.inf) and p[1] == b[1]
+        turn = b + [-5.0, -30.0]
+        points = [a, b, turn, [p[0], turn[1]], p, p + [10.0, 10.0]]
+        # with the whole curve exempt, only distance 0 counts
+        assert check_against_oracle(points, exempt_arc=1000.0)
+        monkeypatch.setattr(road_module, "BOX_MARGIN", 0.0)
+        assert not _folds_back(np.array(points), OVERLAP_BUFFER, 1000.0)
+
+    def test_collinear_overlapping_segments(self):
+        # back over the first segment along the same line: far along the
+        # arc, and within the exempt arc, where only distance 0 counts
+        assert check_against_oracle([[0, 0], [60, 0], [100, 0], [80, 0], [20, 0]])
+        check_against_oracle([[0, 0], [6, 0], [10, 0], [8, 0], [2, 0]])
+        check_against_oracle([[0, 0], [6, 3], [10, 5], [8, 4], [2, 1]])
+
+    def test_straight_road_has_no_candidate_pairs(self):
+        assert len(_near_pairs(build_road(straight_cps()).centerline,
+                               OVERLAP_BUFFER, EXEMPT_ARC)[0]) == 0
+
+    def test_golden_centerlines(self):
+        folds = 0
+        for entry in GOLDEN["entries"]:
+            center = build_road(ControlPointSet(np.asarray(entry["points"]))).centerline
+            folds += check_against_oracle(center)
+        assert folds == sum(OVERLAP in e["kinds"] for e in GOLDEN["entries"]) > 0
+
+    @given(polylines(), st.sampled_from([0.0, 1.0, 2.5, OVERLAP_BUFFER]),
+           st.sampled_from([0.0, 3.0, EXEMPT_ARC]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_polylines(self, points, buffer, exempt_arc):
+        check_against_oracle(points, buffer, exempt_arc)
 
 
 class TestSerialization:

@@ -115,8 +115,7 @@ class TestSearchConfig:
 class TestRandomIndividual:
     def test_shape_and_bounds(self):
         rng = np.random.default_rng(0)
-        cfg = SearchConfig()
-        ind = random_individual(rng, cfg)
+        ind = random_individual(rng)
         pts = ind.genotype.points
         assert pts.shape == (7, 2)
         assert pts.min() >= 0.0 and pts.max() <= 200.0
@@ -124,19 +123,18 @@ class TestRandomIndividual:
 
     def test_sorted_by_x(self):
         rng = np.random.default_rng(1)
-        ind = random_individual(rng, SearchConfig())
+        ind = random_individual(rng)
         xs = ind.genotype.points[:, 0]
         assert (np.diff(xs) >= 0).all()
 
     def test_same_seed_same_individual(self):
-        a = random_individual(np.random.default_rng(42), SearchConfig())
-        b = random_individual(np.random.default_rng(42), SearchConfig())
+        a = random_individual(np.random.default_rng(42))
+        b = random_individual(np.random.default_rng(42))
         assert np.array_equal(a.genotype.points, b.genotype.points)
 
     def test_uniform_mean(self):
         rng = np.random.default_rng(7)
-        cfg = SearchConfig()
-        pts = np.vstack([random_individual(rng, cfg).genotype.points
+        pts = np.vstack([random_individual(rng).genotype.points
                          for _ in range(1000)])
         assert 90 < pts[:, 0].mean() < 110
         assert 90 < pts[:, 1].mean() < 110
@@ -261,9 +259,8 @@ class TestMutate:
     def test_moves_stay_in_map(self, monkeypatch):
         monkeypatch.setattr(search, "MUTATION_PROB", 1.0)
         rng = np.random.default_rng(5)
-        cfg = SearchConfig()
         for _ in range(50):
-            ind = random_individual(rng, cfg)
+            ind = random_individual(rng)
             out = mutate(ind, rng)
             pts = out.genotype.points
             assert pts.min() >= 0.0 and pts.max() <= 200.0
@@ -435,9 +432,8 @@ class TestRunSearch:
         # accepted candidates approaches 0.5/(0.5 + 0.5*0.25) = 0.8
         validity = lambda cps: cps.points[0, 1] < 100.0
         rng = np.random.default_rng(17)
-        cfg = SearchConfig(variant="C")
         n = 100000
-        valid = sum(validity(guided_seed_individual(rng, cfg, validity).genotype)
+        valid = sum(validity(guided_seed_individual(rng, validity).genotype)
                     for _ in range(n))
         frac = valid / n
         assert frac == pytest.approx(0.8, abs=0.01)
