@@ -6,8 +6,10 @@
     roadsearch render --archive results/run01.json --out svgs/
 
 ``--sut "<command>"``, like ``sut.command`` in the config file, drives an
-external system under test over the line protocol. Flags replace file
-keys; ``ROADSEARCH_LOG`` (DEBUG/INFO/WARNING/...) controls verbosity.
+external system under test over the line protocol: one child serves every
+run of the invocation, started at the first driven road and ended before
+``run`` returns (see ``protocol.SutSession``). Flags replace file keys;
+``ROADSEARCH_LOG`` (DEBUG/INFO/WARNING/...) controls verbosity.
 Exit code 0 on success, 1 on configuration, protocol or replay errors.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config_dict, read_config
-from .protocol import SutDescriptor, external_evaluate
+from .protocol import SutDescriptor, SutSession, external_evaluate
 from .report import (
     ReplayDivergence,
     load_archive,
@@ -72,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _driver(sut: SutDescriptor, vparams) -> Driver:
+def _driver(sut: SutDescriptor, vparams, session: SutSession | None = None) -> Driver:
     if sut.command is not None:
-        return lambda road: external_evaluate(road, sut)
+        return lambda road: external_evaluate(road, sut, session)
     return builtin_driver(vparams)
 
 
@@ -90,25 +92,27 @@ def _cmd_run(args) -> int:
     data = read_config(args.config) if args.config else {}
     search_cfg, vparams, sut = parse_config_dict(data, overrides)
 
-    drive = _driver(sut, vparams)
-    evaluator = lambda ind: evaluate(ind, drive)
     validity = lambda cps: validate(build_road(cps)).valid
     phenotype = lambda cps: build_road(cps).centerline
 
     rows = []
     out = Path(args.out)
-    for i in range(args.runs):
-        cfg = dataclasses.replace(search_cfg, seed=search_cfg.seed + i)
-        log.info("run %d/%d: variant %s seed %d", i + 1, args.runs,
-                 cfg.variant, cfg.seed)
-        report = run_search(cfg, evaluator, validity=validity,
-                            phenotype=phenotype,
-                            reporter=lambda ev: log.debug("event %s", ev))
-        write_report(report, out, vparams=vparams, sut=sut, run_id=i + 1)
-        row = summary_row(report, run_id=i + 1)
-        rows.append(row)
-        log.info("run %d: T=%s P=%s I=%s F=%s", i + 1, row["T"], row["P"],
-                 row["I"], row["F"])
+    # the SUT child, if one is started, ends here also when a search raises
+    with SutSession(sut) as session:
+        drive = _driver(sut, vparams, session)
+        evaluator = lambda ind: evaluate(ind, drive)
+        for i in range(args.runs):
+            cfg = dataclasses.replace(search_cfg, seed=search_cfg.seed + i)
+            log.info("run %d/%d: variant %s seed %d", i + 1, args.runs,
+                     cfg.variant, cfg.seed)
+            report = run_search(cfg, evaluator, validity=validity,
+                                phenotype=phenotype,
+                                reporter=lambda ev: log.debug("event %s", ev))
+            write_report(report, out, vparams=vparams, sut=sut, run_id=i + 1)
+            row = summary_row(report, run_id=i + 1)
+            rows.append(row)
+            log.info("run %d: T=%s P=%s I=%s F=%s", i + 1, row["T"], row["P"],
+                     row["I"], row["F"])
     write_summary_csv(rows, out / "summary.csv")
     print(f"{args.runs} run(s) complete; summary at {out / 'summary.csv'}")
     return 0

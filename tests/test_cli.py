@@ -1,16 +1,20 @@
 import csv
 import json
+import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roadsearch
+from roadsearch import cli
 from roadsearch.cli import main
 from roadsearch.geometry import ControlPointSet
 from roadsearch.road import build_road, validate
+from roadsearch.search import random_individual
 
 
 def read_summary(path):
@@ -130,6 +134,56 @@ class TestRun:
         assert code == 0
         archive = json.load(open(out / "run01.json"))
         assert archive["config"]["search"]["novelty_filter"] is True
+
+
+class TestSutChild:
+    """A run's external SUT child never outlives ``roadsearch run``."""
+
+    @pytest.fixture
+    def stub(self, tmp_path):
+        # serves every road line, records its pid, and ignores EOF, so only
+        # the harness's kill can end it
+        pids = tmp_path / "pids"
+        script = tmp_path / "stub.py"
+        script.write_text('import os, sys, time\n'
+                          f'open({str(pids)!r}, "a").write(f"{{os.getpid()}}\\n")\n'
+                          'for line in sys.stdin:\n'
+                          '    print(\'{"verdict": "FAIL", "max_oob": 99.0}\', flush=True)\n'
+                          'time.sleep(60)\n')
+        return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}", pids
+
+    @staticmethod
+    def assert_gone(pids):
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 1  # one child for the whole invocation
+        with pytest.raises(ProcessLookupError):
+            os.kill(started[0], 0)
+
+    def test_child_ends_with_the_run(self, tmp_path, stub):
+        command, pids = stub
+        out = tmp_path / "out"
+        code = main(["run", "--variant", "A", "--seed", "1", "--budget-evals", "8",
+                     "--runs", "2", "--out", str(out), "--sut", command])
+        assert code == 0
+        records = [r for run in ("run01", "run02")
+                   for r in json.loads((out / f"{run}.json").read_text())["records"]]
+        assert sum(r["verdict"] == "FAIL" for r in records) >= 2
+        self.assert_gone(pids)
+
+    def test_child_ends_when_the_search_raises(self, tmp_path, stub, monkeypatch):
+        command, pids = stub
+        rng = np.random.default_rng(1)
+
+        def drive_one_road_then_raise(config, evaluator, **kwargs):
+            while not pids.exists():
+                evaluator(random_individual(rng))
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(cli, "run_search", drive_one_road_then_raise)
+        with pytest.raises(RuntimeError, match="search failed"):
+            main(["run", "--budget-evals", "8", "--out", str(tmp_path / "out"),
+                  "--sut", command])
+        self.assert_gone(pids)
 
 
 class TestReplayCommand:

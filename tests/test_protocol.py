@@ -4,6 +4,7 @@ import logging
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from roadsearch.protocol import (
     ERR_SPAWN,
     ERR_TIMEOUT,
     SutDescriptor,
+    SutSession,
     external_evaluate,
     main,
     parse_reply,
@@ -321,6 +323,206 @@ class TestExternalEvaluate:
     def test_builtin_descriptor_rejected(self):
         with pytest.raises(ValueError):
             external_evaluate(valid_road(), SutDescriptor())
+
+    def test_unicode_line_separator_inside_a_reply(self, tmp_path):
+        # JSON allows a raw U+2028 inside a string; the reply used to be cut
+        # there by str.splitlines() and recorded as a protocol error
+        script = tmp_path / "sut.py"
+        script.write_text('import sys\n'
+                          'sys.stdin.readline()\n'
+                          'reply = \'{"verdict": "PASS", "max_oob": 1.0, "note": "a\\u2028b"}\'\n'
+                          'sys.stdout.buffer.write(reply.encode() + b"\\n")\n')
+        assert "\u2028".encode() in subprocess.run(
+            [PY, str(script)], input=b"road\n", capture_output=True).stdout
+        r = external_evaluate(valid_road(), SutDescriptor(command=f"{PY} {script}",
+                                                          timeout=60.0))
+        assert r.verdict == "PASS" and r.max_oob == 1.0 and r.error is None
+
+
+# Session stubs: each child appends its pid to a file, and answers a road with
+# PASS and a max_oob taken from the road itself, so that a reply given to
+# the wrong road shows.
+STUB_HEAD = """\
+import json, os, sys, time
+with open({pids!r}, "a") as fh:
+    fh.write(f"{{os.getpid()}}\\n")
+
+def reply(line):
+    x = json.loads(line)["centerline"][0][0]
+    return json.dumps({{"verdict": "PASS", "max_oob": abs(x) % 100}})
+"""
+
+STUBS = {
+    "server": """
+for line in sys.stdin:
+    print(reply(line), flush=True)
+""",
+    "hang_after_one": """
+print(reply(sys.stdin.readline()), flush=True)
+time.sleep(60)
+""",
+    "crash_mid_reply": """
+for n, line in enumerate(sys.stdin):
+    if n == 1:
+        sys.stdout.write('{"verdict": "PA')
+        sys.stdout.flush()
+        sys.exit(1)
+    print(reply(line), flush=True)
+""",
+    "garbage_second": """
+for n, line in enumerate(sys.stdin):
+    print("garbage" if n == 1 else reply(line), flush=True)
+""",
+    "exit_after_two": """
+for n, line in enumerate(sys.stdin):
+    print(reply(line), flush=True)
+    if n == 1:
+        break
+""",
+    "one_shot": """
+print(reply(sys.stdin.readline()))
+""",
+    # still alive when the next road is written to it, then exits unread
+    "one_shot_lingering": """
+print(reply(sys.stdin.readline()), flush=True)
+time.sleep(0.3)
+""",
+    "extra_line": """
+for line in sys.stdin:
+    sys.stdout.write(reply(line) + '\\n{"verdict": "FAIL", "max_oob": 99.0}\\n')
+    sys.stdout.flush()
+""",
+    "read_to_eof": """
+print(reply(sys.stdin.read().splitlines()[0]), flush=True)
+""",
+}
+
+
+def expected_oob(road):
+    return abs(float(road.centerline[0][0])) % 100
+
+
+@pytest.fixture(scope="module")
+def roads():
+    rng = np.random.default_rng(8)
+    found = []
+    while len(found) < 5:
+        road = build_road(random_individual(rng).genotype)
+        if validate(road).valid:
+            found.append(road)
+    assert len({expected_oob(road) for road in found}) == 5
+    return found
+
+
+class TestSutSession:
+    def stub(self, tmp_path, name, timeout=30.0):
+        pids = tmp_path / "pids"
+        script = tmp_path / f"{name}.py"
+        script.write_text(STUB_HEAD.format(pids=str(pids)) + STUBS[name])
+        return SutDescriptor(command=f"{PY} {script}", timeout=timeout), pids
+
+    @staticmethod
+    def children(pids):
+        return pids.read_text().split() if pids.exists() else []
+
+    @staticmethod
+    def drive(sut, roads):
+        with SutSession(sut) as session:
+            return [external_evaluate(road, sut, session) for road in roads]
+
+    @staticmethod
+    def assert_answered(result, road):
+        assert (result.verdict, result.max_oob, result.error) == \
+               ("PASS", expected_oob(road), None)
+
+    @staticmethod
+    def warnings(caplog):
+        return [rec.getMessage() for rec in caplog.records
+                if rec.name == "roadsearch" and rec.levelno == logging.WARNING]
+
+    def test_one_child_answers_every_road(self, tmp_path, roads, caplog):
+        sut, pids = self.stub(tmp_path, "server")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads)
+        for result, road in zip(results, roads):
+            self.assert_answered(result, road)
+        assert len(self.children(pids)) == 1
+        assert self.warnings(caplog) == []
+
+    def test_no_road_starts_no_child(self, tmp_path):
+        sut, pids = self.stub(tmp_path, "server")
+        with SutSession(sut):
+            pass
+        assert self.children(pids) == []
+
+    def test_hang_after_one_answer(self, tmp_path, roads):
+        sut, pids = self.stub(tmp_path, "hang_after_one", timeout=2.0)
+        with SutSession(sut) as session:
+            self.assert_answered(external_evaluate(roads[0], sut, session), roads[0])
+            start = time.monotonic()
+            hung = external_evaluate(roads[1], sut, session)
+            elapsed = time.monotonic() - start
+            third = external_evaluate(roads[2], sut, session)
+        assert hung.verdict == INVALID and hung.error == ERR_TIMEOUT
+        assert 2.0 <= elapsed < 3.5
+        self.assert_answered(third, roads[2])
+        assert len(self.children(pids)) == 2
+
+    def test_crash_mid_reply(self, tmp_path, roads, caplog):
+        sut, pids = self.stub(tmp_path, "crash_mid_reply")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads[:3])
+        self.assert_answered(results[0], roads[0])
+        assert results[1].verdict == INVALID and results[1].error == ERR_PROTOCOL
+        self.assert_answered(results[2], roads[2])
+        assert len(self.children(pids)) == 2
+        [warning] = self.warnings(caplog)
+        assert "status 1" in warning and "malformed reply" in warning
+
+    def test_garbage_line_retires_the_child(self, tmp_path, roads, caplog):
+        sut, pids = self.stub(tmp_path, "garbage_second")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads[:3])
+        self.assert_answered(results[0], roads[0])
+        assert results[1].verdict == INVALID and results[1].error == ERR_PROTOCOL
+        self.assert_answered(results[2], roads[2])
+        assert len(self.children(pids)) == 2
+        [warning] = self.warnings(caplog)
+        assert "malformed reply" in warning
+
+    def test_exit_after_two_roads(self, tmp_path, roads, caplog):
+        sut, pids = self.stub(tmp_path, "exit_after_two")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads)
+        for result, road in zip(results, roads):
+            self.assert_answered(result, road)
+        assert len(self.children(pids)) == 3
+        assert self.warnings(caplog) == []
+
+    @pytest.mark.parametrize("name", ["one_shot", "one_shot_lingering"])
+    def test_one_shot_sut_gets_a_child_per_road(self, tmp_path, roads, caplog, name):
+        sut, pids = self.stub(tmp_path, name)
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads[:3])
+        for result, road in zip(results, roads):
+            self.assert_answered(result, road)
+        assert len(set(self.children(pids))) == 3
+        assert self.warnings(caplog) == []
+
+    def test_line_beyond_a_reply_is_never_the_next_reply(self, tmp_path, roads):
+        sut, pids = self.stub(tmp_path, "extra_line")
+        results = self.drive(sut, roads[:3])
+        for result, road in zip(results, roads):
+            self.assert_answered(result, road)
+        assert len(self.children(pids)) == 3
+
+    def test_reading_to_eof_is_a_timeout(self, tmp_path, roads):
+        sut, pids = self.stub(tmp_path, "read_to_eof", timeout=1.0)
+        start = time.monotonic()
+        result = self.drive(sut, roads[:1])[0]
+        assert result.verdict == INVALID and result.error == ERR_TIMEOUT
+        assert time.monotonic() - start < 2.5
+        assert len(self.children(pids)) == 1
 
 
 class TestRunLevelEquivalence:
