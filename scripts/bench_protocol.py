@@ -94,10 +94,10 @@ def main(argv=None) -> int:
     for _ in range(args.passes):
         for k, road in enumerate(roads):
             t0 = perf_counter()
-            judge(road, drive)
+            judge(road, validate(road), drive)
             judged[k].append(perf_counter() - t0)
     judge_s = [statistics.median(times) for times in judged]
-    direct = [judge(road, drive) for road in roads]
+    direct = [judge(road, validate(road), drive) for road in roads]
 
     sut = protocol.SutDescriptor(
         command=f"{shlex.quote(sys.executable)} -m roadsearch.protocol --speed {SPEED:g}",

@@ -32,7 +32,6 @@ from .report import (
     write_report,
     write_summary_csv,
 )
-from .road import build_road, validate
 from .search import Driver, builtin_driver, evaluate, run_search
 
 log = logging.getLogger("roadsearch")
@@ -92,9 +91,6 @@ def _cmd_run(args) -> int:
     data = read_config(args.config) if args.config else {}
     search_cfg, vparams, sut = parse_config_dict(data, overrides)
 
-    validity = lambda cps: validate(build_road(cps)).valid
-    phenotype = lambda cps: build_road(cps).centerline
-
     rows = []
     out = Path(args.out)
     # the SUT child, if one is started, ends here also when a search raises
@@ -105,8 +101,7 @@ def _cmd_run(args) -> int:
             cfg = dataclasses.replace(search_cfg, seed=search_cfg.seed + i)
             log.info("run %d/%d: variant %s seed %d", i + 1, args.runs,
                      cfg.variant, cfg.seed)
-            report = run_search(cfg, evaluator, validity=validity,
-                                phenotype=phenotype,
+            report = run_search(cfg, evaluator,
                                 reporter=lambda ev: log.debug("event %s", ev))
             write_report(report, out, vparams=vparams, sut=sut, run_id=i + 1)
             row = summary_row(report, run_id=i + 1)

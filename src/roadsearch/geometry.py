@@ -47,9 +47,6 @@ class ControlPointSet:
             raise ValueError("control points must lie inside the map")
         self.points = pts
 
-    def copy(self) -> "ControlPointSet":
-        return ControlPointSet(self.points.copy())
-
 
 def _as_polyline(p, min_points=1) -> np.ndarray:
     arr = np.asarray(p, dtype=float)

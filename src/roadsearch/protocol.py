@@ -38,7 +38,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .road import RoadSpec, road_from_dict, road_to_dict
+from .road import RoadSpec, road_from_dict, road_to_dict, validate
 from .search import builtin_driver, judge
 from .simulator import FAIL, INVALID, PASS, TestResult, VehicleParams, invalid_result
 
@@ -267,9 +267,9 @@ def result_to_reply(result: TestResult) -> str:
 
 
 def serve_builtin(drive, stdin=None, stdout=None):
-    """Answer each road line with ``judge(road, drive)`` until EOF; a line
-    that is not a road, or whose ``params`` are not this version's
-    geometry, is answered INVALID with the protocol-error tag."""
+    """Answer each road line with ``judge(road, validate(road), drive)``
+    until EOF; a line that is not a road, or whose ``params`` are not this
+    version's geometry, is answered INVALID with the protocol-error tag."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     for line in stdin:
@@ -277,7 +277,8 @@ def serve_builtin(drive, stdin=None, stdout=None):
         if not line:
             continue
         try:
-            result = judge(road_from_dict(json.loads(line)), drive)
+            road = road_from_dict(json.loads(line))
+            result = judge(road, validate(road), drive)
         except (ValueError, KeyError, TypeError):
             result = invalid_result(ERR_PROTOCOL)
         stdout.write(result_to_reply(result) + "\n")

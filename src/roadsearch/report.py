@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, search, simulator
 from .geometry import MAP_SIZE, ControlPointSet
-from .road import PARAMS, RoadSpec, build_road
+from .road import PARAMS, RoadSpec, build_road, validate
 from .search import RunReport, builtin_driver, judge
 from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
@@ -142,6 +142,17 @@ def load_archive(path) -> dict:
     for key in ("config", "records", "events", "aggregates"):
         if key not in data:
             raise ValueError(f"archive missing {key!r}")
+    if not isinstance(data["records"], list):
+        raise ValueError("archive records: expected a list")
+    for i, rec in enumerate(data["records"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"archive record {i}: expected an object")
+        for key, kind in (("id", int), ("genotype", list), ("verdict", str),
+                          ("fitness", (int, float))):
+            if key not in rec:
+                raise ValueError(f"archive record {i} missing {key!r}")
+            if not isinstance(rec[key], kind):
+                raise ValueError(f"archive record {i}: {key!r} has the wrong type")
     return data
 
 
@@ -200,7 +211,8 @@ def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
         drive = builtin_driver(vparams)
     else:
         drive = lambda road: external_evaluate(road, sut)
-    result = judge(_record_road(record), drive)
+    road = _record_road(record)
+    result = judge(road, validate(road), drive)
 
     stored = (record["verdict"], float(record["fitness"]))
     fresh = (result.verdict, result.max_oob)

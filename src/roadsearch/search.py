@@ -20,12 +20,13 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .geometry import MAP_SIZE, ControlPointSet, frechet_pairs
-from .road import RoadSpec, build_road, validate
+from .road import RoadSpec, ValidityReport, build_road, validate
 from .simulator import FAIL, INVALID, PASS, TestResult, VehicleParams, invalid_result, run_test
 
 __all__ = [
@@ -121,15 +122,25 @@ class SearchConfig:
 
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays
 class Individual:
+    """A genotype with its road and validity, each made once when first
+    read, and the verdict and fitness its evaluation fills in."""
+
     genotype: ControlPointSet
     fitness: float | None = None
     verdict: str | None = None
-    centerline: np.ndarray | None = None
     error: str | None = None
 
     @property
     def evaluated(self) -> bool:
         return self.fitness is not None
+
+    @cached_property
+    def road(self) -> RoadSpec:
+        return build_road(self.genotype)
+
+    @cached_property
+    def validity(self) -> ValidityReport:
+        return validate(self.road)
 
 
 @dataclass
@@ -168,7 +179,7 @@ class FailureArchive:
 
     def pairwise(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _pairwise_frechet([f.centerline for f in self.failures])
+            self._matrix = _pairwise_frechet([f.road.centerline for f in self.failures])
         return self._matrix
 
     def avg_frechet(self) -> float | None:
@@ -194,7 +205,7 @@ def random_individual(rng) -> Individual:
     return Individual(ControlPointSet(_sorted_by_x(pts)))
 
 
-def guided_seed_individual(rng, validity) -> Individual:
+def guided_seed_individual(rng) -> Individual:
     """Draw a seed candidate with a soft preference for valid roads.
 
     Valid candidates are accepted immediately; invalid ones only with
@@ -203,7 +214,7 @@ def guided_seed_individual(rng, validity) -> Individual:
     """
     while True:
         ind = random_individual(rng)
-        if validity(ind.genotype) or rng.random() < INVALID_SEED_ACCEPT_PROB:
+        if ind.validity.valid or rng.random() < INVALID_SEED_ACCEPT_PROB:
             return ind
 
 
@@ -214,24 +225,22 @@ def builtin_driver(vparams: VehicleParams) -> Driver:
     return drive
 
 
-def judge(road: RoadSpec, drive: Driver) -> TestResult:
-    """Validate the road and drive it only if it is valid."""
-    if not validate(road).valid:
+def judge(road: RoadSpec, validity: ValidityReport, drive: Driver) -> TestResult:
+    """Drive the road only if its validity report says it is valid."""
+    if not validity.valid:
         return invalid_result()
     return drive(road)
 
 
 def evaluate(ind: Individual, drive: Driver) -> Individual:
-    """Build and judge one individual.
+    """Judge one individual's road.
 
     Invalid roads get verdict INVALID and fitness 0 without being driven;
     valid roads get fitness = max out-of-bounds percentage.
     """
     if ind.evaluated:
         raise ValueError("individual already evaluated")
-    road = build_road(ind.genotype)
-    ind.centerline = road.centerline
-    result = judge(road, drive)
+    result = judge(ind.road, ind.validity, drive)
     ind.verdict, ind.fitness, ind.error = result.verdict, result.max_oob, result.error
     return ind
 
@@ -308,16 +317,11 @@ def novelty_accept(candidate, curves, mat: np.ndarray) -> bool:
     return new_sum / pairs > old_sum / pairs
 
 
-def _copy_evaluated(ind: Individual) -> Individual:
-    return Individual(ind.genotype.copy(), ind.fitness, ind.verdict,
-                      ind.centerline, ind.error)
-
-
-def _offspring(pop: list, rng, config: SearchConfig, phenotype, out_of_budget):
+def _offspring(pop: list, rng, config: SearchConfig, out_of_budget):
     """Yield one generation's n offspring: tournament selection, crossover
     and mutation. With the novelty filter, a child that would not raise the
-    population's average Frechet distance is replaced by a copy of its
-    evaluated parent.
+    population's average Frechet distance is replaced by its evaluated
+    parent.
 
     Every child is drawn before the first is yielded, so the RNG order
     does not depend on the budget; a child is built and checked only if
@@ -334,37 +338,28 @@ def _offspring(pop: list, rng, config: SearchConfig, phenotype, out_of_budget):
     if config.novelty_filter:
         # pop stays fixed until the generation ends, so its curves and
         # their matrix serve every offspring's novelty check
-        curves = [p.centerline for p in pop]
+        curves = [p.road.centerline for p in pop]
         mat = _pairwise_frechet(curves)
     for child, parent in drawn:
         if out_of_budget():
             return
-        if config.novelty_filter:
-            child.centerline = phenotype(child.genotype)
-            if not novelty_accept(child.centerline, curves, mat):
-                child = _copy_evaluated(parent)  # denied: the slot keeps the parent
+        if config.novelty_filter and not novelty_accept(child.road.centerline, curves, mat):
+            child = parent  # denied: the slot keeps the parent
         yield child
 
 
-def run_search(config: SearchConfig, evaluator, *, validity=None,
-               phenotype=None, reporter=None) -> RunReport:
+def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
     """Run one seeded search and report every evaluated test.
 
-    ``evaluator(ind) -> ind`` fills in fitness, verdict and centerline
-    (the novelty filter and the Frechet aggregates read the centerline).
-    ``validity(cps) -> bool`` is required for variant C's guided reseeds;
-    ``phenotype(cps) -> centerline`` is required when the novelty filter
-    is on. ``reporter`` is an optional callable invoked with every event
-    as it happens.
+    ``evaluator(ind) -> ind`` fills in fitness and verdict (``evaluate``
+    with a driver does). The road and its validity come from the
+    individual: variant C's guided reseeds, the novelty filter and the
+    Frechet aggregates read them. ``reporter`` is an optional callable
+    invoked with every event as it happens.
 
     The returned report satisfies T = P + I + F, and in variants B/C every
     FAIL event is immediately followed by a RESEED event.
     """
-    if config.variant == "C" and validity is None:
-        raise ValueError("variant C needs a validity predicate for reseeding")
-    if config.novelty_filter and phenotype is None:
-        raise ValueError("novelty filter needs a phenotype function")
-
     rng = np.random.default_rng(config.seed)
     records: list[TestRecord] = []
     events: list[dict] = []
@@ -388,8 +383,7 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         for _ in range(config.population_size):
             if out_of_budget():
                 return
-            yield (guided_seed_individual(rng, validity) if guided
-                   else random_individual(rng))
+            yield guided_seed_individual(rng) if guided else random_individual(rng)
 
     def evaluate_in_order(batch):
         """Evaluate the batch's unevaluated individuals in order until the
@@ -426,7 +420,7 @@ def run_search(config: SearchConfig, evaluator, *, validity=None,
         else:
             gen_index += 1
             emit("GENERATION", epoch=epoch, index=gen_index)
-            batch = _offspring(pop, rng, config, phenotype, out_of_budget)
+            batch = _offspring(pop, rng, config, out_of_budget)
         reached, reseed = evaluate_in_order(batch)
         if reseed:
             emit("RESEED", epoch=epoch)

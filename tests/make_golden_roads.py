@@ -50,8 +50,9 @@ def draw(rng, shape: str, index: int) -> np.ndarray:
 def judge_entry(points, speed: float) -> dict:
     """The verdict, violation kinds and max_oob of one genotype."""
     road = build_road(ControlPointSet(np.asarray(points)))
-    result = judge(road, builtin_driver(VehicleParams(speed=speed)))
-    return {"verdict": result.verdict, "kinds": validate(road).kinds(),
+    validity = validate(road)
+    result = judge(road, validity, builtin_driver(VehicleParams(speed=speed)))
+    return {"verdict": result.verdict, "kinds": validity.kinds(),
             "max_oob": result.max_oob}
 
 

@@ -3,17 +3,21 @@ stub evaluator, and the records, events and aggregates they give.
 
     PYTHONPATH=src python tests/make_golden_searches.py [--out PATH]
 
-The stub needs no road and no simulator, so the corpus pins the search
-itself: the RNG order of seeding, selection, crossover, mutation and
-novelty checks, and where each variant reseeds and stops. Run it only to
-re-freeze the corpus on purpose: ``tests/test_golden_searches.py`` holds
-every later change to the same runs.
+The stub needs no simulator, and each road is its control polygon, so
+the corpus pins the search itself: the RNG order of seeding, selection,
+crossover, mutation and novelty checks, and where each variant reseeds
+and stops. Run it only to re-freeze the corpus on purpose:
+``tests/test_golden_searches.py`` holds every later change to the same
+runs.
 """
 import argparse
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
+from roadsearch import search
+from roadsearch.road import RoadSpec, ValidityReport
 from roadsearch.search import FAIL, INVALID, PASS, SearchConfig, run_search
 
 SEEDS = (2, 3, 4, 5)
@@ -23,19 +27,24 @@ BUDGETS = ((4, 6), (7, 6), (30, 6), (50, 8))
 OUT = Path(__file__).parent / "data" / "golden_searches.json"
 
 
-def valid(cps) -> bool:
-    return cps.points[0, 1] >= 40.0
+def polygon_road(cps) -> RoadSpec:
+    """Stub road: the control polygon, with no Bezier sampling."""
+    c = cps.points
+    return RoadSpec(c, c, c)
+
+
+def low_start_invalid(road) -> ValidityReport:
+    return ValidityReport(valid=road.centerline[0, 1] >= 40.0)
 
 
 def stub_evaluate(ind):
     """INVALID when the first point is low, FAIL when the road runs high
     on average; fitness is half the mean y (0 for INVALID)."""
     mean_y = float(ind.genotype.points[:, 1].mean())
-    if not valid(ind.genotype):
+    if not ind.validity.valid:
         ind.verdict, ind.fitness = INVALID, 0.0
     else:
         ind.verdict, ind.fitness = (FAIL if mean_y > 125.0 else PASS), mean_y / 2.0
-    ind.centerline = ind.genotype.points
     return ind
 
 
@@ -61,9 +70,9 @@ def run_case(case: dict) -> dict:
         evaluated.append(ind)
         return stub_evaluate(ind)
 
-    report = run_search(cfg, counted, validity=valid,
-                        phenotype=lambda cps: cps.points,
-                        reporter=lambda event: at.append(len(evaluated)))
+    with mock.patch.object(search, "build_road", polygon_road), \
+            mock.patch.object(search, "validate", low_start_invalid):
+        report = run_search(cfg, counted, reporter=lambda event: at.append(len(evaluated)))
     return {
         "verdicts": "".join(r.verdict[0] for r in report.records),
         "fitness": [r.fitness for r in report.records],

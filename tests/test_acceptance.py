@@ -50,7 +50,6 @@ def report_line(num, text):
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    validity = lambda cps: validate(build_road(cps)).valid
     drive = builtin_driver(VEHICLE_25)
     evaluator = lambda ind: evaluate(ind, drive)
     runs = {}
@@ -58,8 +57,7 @@ def desk_runs():
     for variant in "ABC":
         for seed in SEEDS:
             cfg = SearchConfig(variant=variant, max_evaluations=300, seed=seed)
-            runs[variant, seed] = run_search(
-                cfg, evaluator, validity=validity)
+            runs[variant, seed] = run_search(cfg, evaluator)
     return runs, time.perf_counter() - t0
 
 

@@ -22,6 +22,10 @@ def read_summary(path):
         return list(csv.DictReader(fh))
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 class TestRun:
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "out"
@@ -41,8 +45,8 @@ class TestRun:
         assert code == 0
         rows = read_summary(out / "summary.csv")
         assert [r["Run"] for r in rows] == ["1", "2"]
-        a = json.load(open(out / "run01.json"))
-        b = json.load(open(out / "run02.json"))
+        a = read_json(out / "run01.json")
+        b = read_json(out / "run02.json")
         assert a["config"]["search"]["seed"] == 10
         assert b["config"]["search"]["seed"] == 11
 
@@ -56,7 +60,7 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--variant", "C",
                      "--budget-evals", "16", "--out", str(out)])
         assert code == 0
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         assert archive["config"]["search"]["variant"] == "C"
         assert archive["config"]["search"]["population_size"] == 15
         assert archive["config"]["search"]["max_evaluations"] == 16
@@ -69,7 +73,7 @@ class TestRun:
         code = main(["run", "--config", str(sized), "--variant", "C",
                      "--budget-evals", "4", "--out", str(tmp_path / "sized")])
         assert code == 0
-        archive = json.load(open(tmp_path / "sized" / "run01.json"))
+        archive = read_json(tmp_path / "sized" / "run01.json")
         assert archive["config"]["search"]["variant"] == "C"
         assert archive["config"]["search"]["population_size"] == 40
 
@@ -109,7 +113,7 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--variant", "A", "--seed", "1",
                      "--budget-evals", "8", "--out", str(out)])
         assert code == 0
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         assert archive["config"]["sut"] == {"command": command, "timeout": 30.0}
         valid = [r for r in archive["records"]
                  if validate(build_road(ControlPointSet(r["genotype"]))).valid]
@@ -132,7 +136,7 @@ class TestRun:
         code = main(["run", "--variant", "A", "--seed", "2",
                      "--budget-evals", "10", "--out", str(out), "--novelty"])
         assert code == 0
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         assert archive["config"]["search"]["novelty_filter"] is True
 
 
@@ -225,7 +229,7 @@ class TestReplayCommand:
         out = tmp_path / "out"
         main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
               "--out", str(out)])
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         del archive["config"]["sut"]
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(archive))
@@ -233,6 +237,23 @@ class TestReplayCommand:
         code = main(["replay", "--archive", str(edited), "--test", "0"])
         assert code == 0
         assert "matches archive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["genotype", "verdict", "id"])
+    def test_replay_of_a_record_missing_a_key(self, tmp_path, capsys, key):
+        # replay used to die with a KeyError traceback
+        out = tmp_path / "out"
+        main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
+              "--out", str(out)])
+        archive = read_json(out / "run01.json")
+        del archive["records"][0][key]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(archive))
+        capsys.readouterr()
+        code = main(["replay", "--archive", str(edited), "--test", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert "Traceback" not in err
 
 
 class TestRenderCommand:
@@ -248,7 +269,7 @@ class TestRenderCommand:
         code = main(["render", "--archive", str(out / "run01.json"),
                      "--out", str(svg_out)])
         assert code == 0
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         fails = [r["id"] for r in archive["records"] if r["verdict"] == "FAIL"]
         assert fails
         assert f"rendered {len(fails)} failing test(s)" in capsys.readouterr().out
@@ -267,7 +288,7 @@ class TestRenderCommand:
         out = tmp_path / "out"
         main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
               "--out", str(out)])
-        archive = json.load(open(out / "run01.json"))
+        archive = read_json(out / "run01.json")
         archive["config"] = config
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(archive))
@@ -276,6 +297,32 @@ class TestRenderCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "expected an object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "svgs").exists()
+
+    @pytest.mark.parametrize("records, message", [
+        ([{"id": 0}], "missing 'genotype'"),
+        ([{"id": 0, "genotype": [[0, 0], [1, 1]], "verdict": "FAIL"}], "missing 'fitness'"),
+        ([{"id": 0, "genotype": [[0, 0], [1, 1]], "verdict": "FAIL", "fitness": None}],
+         "'fitness' has the wrong type"),
+        (["not a record"], "expected an object"),
+        ({"id": 0}, "expected a list"),
+    ], ids=["genotype", "fitness", "null-fitness", "record", "records"])
+    def test_render_of_an_archive_with_malformed_records(self, tmp_path, capsys,
+                                                         records, message):
+        # render used to die with a KeyError traceback
+        out = tmp_path / "out"
+        main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
+              "--out", str(out)])
+        archive = read_json(out / "run01.json")
+        archive["records"] = records
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(archive))
+        capsys.readouterr()
+        code = main(["render", "--archive", str(edited), "--out", str(tmp_path / "svgs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "svgs").exists()
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from roadsearch.search import (
     run_search,
     select,
 )
+from roadsearch.road import RoadSpec, ValidityReport
 from roadsearch.simulator import VehicleParams
 
 from geometry_oracles import population_avg_frechet
+from make_golden_searches import polygon_road
 from test_simulator import FAILING_POINTS, WIGGLY_POINTS
 
 
@@ -61,9 +64,19 @@ def stub_evaluator(fitness_fn, verdict_fn=None):
     def _eval(ind):
         ind.fitness = fitness_fn(ind.genotype)
         ind.verdict = verdict_fn(ind.genotype) if verdict_fn else PASS
-        ind.centerline = ind.genotype.points
         return ind
     return _eval
+
+
+@pytest.fixture
+def polygon_roads():
+    """Individuals' roads are their control polygons, and a road is
+    valid when its first point lies below y = 100. Patched apart from
+    ``monkeypatch``, which some tests undo mid-test."""
+    low_start = lambda road: ValidityReport(valid=road.centerline[0, 1] < 100.0)
+    with mock.patch.object(search, "build_road", polygon_road), \
+            mock.patch.object(search, "validate", low_start):
+        yield
 
 
 class TestSearchConfig:
@@ -147,7 +160,7 @@ class TestEvaluate:
         evaluate(ind, builtin_driver(VehicleParams()))
         assert ind.verdict == PASS
         assert ind.fitness == 0.0
-        assert ind.centerline is not None
+        assert ind.validity.valid and len(ind.road.centerline) > 0
 
     def test_self_crossing_polygon_invalid(self):
         pts = [[40, 40], [180, 180], [180, 40], [40, 180], [40, 100], [120, 100], [150, 100]]
@@ -359,7 +372,8 @@ class TestFailureArchive:
         arch = FailureArchive()
         for x in (0.0, 3.0):
             ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
-            ind.centerline = np.array([[x, 0.0], [x + 1.0, 0.0]])
+            c = np.array([[x, 0.0], [x + 1.0, 0.0]])
+            ind.road = RoadSpec(c, c, c)
             arch.add(ind)
         assert arch.avg_frechet() == pytest.approx(3.0)
         assert arch.max_frechet() == pytest.approx(3.0)
@@ -368,7 +382,8 @@ class TestFailureArchive:
         arch = FailureArchive()
         for x in (0.0, 3.0, 10.0):
             ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
-            ind.centerline = np.array([[x, 0.0], [x + 1.0, 0.0]])
+            c = np.array([[x, 0.0], [x + 1.0, 0.0]])
+            ind.road = RoadSpec(c, c, c)
             arch.add(ind)
             if x == 3.0:
                 assert arch.max_frechet() == pytest.approx(3.0)
@@ -379,7 +394,8 @@ class TestFailureArchive:
         arch = FailureArchive()
         assert arch.avg_frechet() is None
         ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
-        ind.centerline = np.array([[0.0, 0.0], [1.0, 0.0]])
+        c = np.array([[0.0, 0.0], [1.0, 0.0]])
+        ind.road = RoadSpec(c, c, c)
         arch.add(ind)
         assert arch.avg_frechet() is None and arch.max_frechet() is None
 
@@ -421,19 +437,13 @@ class TestRunSearch:
         assert kinds.count("RESEED") == 0
         assert report.aggregates["F"] == 30
 
-    def test_variant_c_requires_validity(self):
-        with pytest.raises(ValueError):
-            run_search(SearchConfig(variant="C", max_evaluations=5),
-                       stub_evaluator(fitness_by_mean_y))
-
-    def test_guided_seed_fraction(self):
+    def test_guided_seed_fraction(self, polygon_roads):
         # validity cuts the genotype space in half; guided draws accept
         # invalid candidates with probability 0.25, so the valid share of
         # accepted candidates approaches 0.5/(0.5 + 0.5*0.25) = 0.8
-        validity = lambda cps: cps.points[0, 1] < 100.0
         rng = np.random.default_rng(17)
         n = 100000
-        valid = sum(validity(guided_seed_individual(rng, validity).genotype)
+        valid = sum(guided_seed_individual(rng).genotype.points[0, 1] < 100.0
                     for _ in range(n))
         frac = valid / n
         assert frac == pytest.approx(0.8, abs=0.01)
@@ -447,20 +457,14 @@ class TestRunSearch:
                 valid_accepted += is_valid
         assert frac == pytest.approx(valid_accepted / accepted, abs=0.015)
 
-    def test_variant_c_reseeds_are_guided(self):
+    def test_variant_c_reseeds_are_guided(self, polygon_roads):
         # an always-failing evaluator forces a reseed per evaluation; the
         # reseeded (guided) records must lean valid, the first (unguided)
         # epoch is plain random
-        validity = lambda cps: cps.points[0, 1] < 100.0
-
-        def _eval(ind):
-            ind.fitness, ind.verdict = 100.0, FAIL
-            ind.centerline = ind.genotype.points[:1]
-            return ind
-
+        always_fail = stub_evaluator(lambda c: 100.0, lambda c: FAIL)
         cfg = SearchConfig(variant="C", max_evaluations=400, seed=17)
-        report = run_search(cfg, _eval, validity=validity)
-        flags = [validity(r.genotype) for r in report.records[1:]]
+        report = run_search(cfg, always_fail)
+        flags = [r.genotype.points[0, 1] < 100.0 for r in report.records[1:]]
         assert np.mean(flags) == pytest.approx(0.8, abs=0.08)
 
     def test_counts_add_up(self):
@@ -513,22 +517,16 @@ class TestRunSearch:
                [(r.verdict, r.fitness) for r in r2.records]
         assert r1.aggregates == r2.aggregates
 
-    def test_novelty_filter_needs_phenotype(self):
-        cfg = SearchConfig(variant="A", max_evaluations=10, novelty_filter=True)
-        with pytest.raises(ValueError):
-            run_search(cfg, stub_evaluator(fitness_by_mean_y))
-
-    def test_novelty_filter_runs(self):
+    def test_novelty_filter_runs(self, polygon_roads):
         cfg = SearchConfig(variant="A", max_evaluations=60, seed=13,
                            novelty_filter=True)
-        report = run_search(cfg, stub_evaluator(fitness_by_mean_y),
-                            phenotype=lambda cps: cps.points)
+        report = run_search(cfg, stub_evaluator(fitness_by_mean_y))
         assert report.aggregates["T"] <= 60
         assert report.events[-1]["kind"] == "BUDGET_EXHAUSTED"
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     @pytest.mark.parametrize("seed", [3, 13, 29])
-    def test_novelty_filter_same_run_as_from_scratch_rule(self, monkeypatch,
+    def test_novelty_filter_same_run_as_from_scratch_rule(self, monkeypatch, polygon_roads,
                                                           variant, seed):
         cfg = SearchConfig(variant=variant, population_size=12,
                            max_evaluations=60, seed=seed, novelty_filter=True)
@@ -546,14 +544,13 @@ class TestRunSearch:
                 # the curves judged against are the current population's
                 pop = selected_from[-1]
                 assert len(curves) == len(pop)
-                assert all(c is p.centerline for c, p in zip(curves, pop))
+                assert all(c is p.road.centerline for c, p in zip(curves, pop))
                 decisions.append(rule(candidate, curves, mat))
                 return decisions[-1]
 
             monkeypatch.setattr(search, "select", recorded_select)
             monkeypatch.setattr(search, "novelty_accept", checked)
-            report = run_search(cfg, stub_evaluator(fitness_by_mean_y, fails_high),
-                                phenotype=lambda cps: cps.points)
+            report = run_search(cfg, stub_evaluator(fitness_by_mean_y, fails_high))
             monkeypatch.undo()
             records = [(r.id, r.genotype.points.tolist(), r.verdict, r.fitness, r.error)
                        for r in report.records]
@@ -569,7 +566,8 @@ class TestRunSearch:
         assert [e["kind"] for e in events].count("GENERATION") >= 2
         assert any(decisions) and not all(decisions)
 
-    def test_novelty_population_matrix_built_once_per_generation(self, monkeypatch):
+    def test_novelty_population_matrix_built_once_per_generation(self, monkeypatch,
+                                                                 polygon_roads):
         # a generation's n offspring share one n x n population matrix and
         # add n distances each; every test passes, so the failure archive
         # computes none. Distances are counted as pairs passed to the kernel.
@@ -604,8 +602,7 @@ class TestRunSearch:
             evaluate = stub_evaluator(fitness_by_mean_y)
             cfg = SearchConfig(variant="A", population_size=n, max_evaluations=budget,
                                seed=7, novelty_filter=True)
-            run_search(cfg, lambda ind: evaluated.append(ind) or evaluate(ind),
-                       phenotype=lambda cps: cps.points, reporter=mark)
+            run_search(cfg, lambda ind: evaluated.append(ind) or evaluate(ind), reporter=mark)
             spans = [(after - before, done - start)
                      for (kind, before, start), (_, after, done) in zip(marks, marks[1:])
                      if kind == "GENERATION"]
@@ -619,6 +616,46 @@ class TestRunSearch:
             if cut_short[-1]:
                 assert last[-1] and sum(last) == last_evals
         assert cut_short == [False, True, True, True]
+
+    @pytest.mark.parametrize("variant, novelty", [("C", False), ("A", True)])
+    def test_each_genotype_built_and_validated_once(self, monkeypatch, variant, novelty):
+        # guided reseeds, novelty checks, evaluation and the failure archive
+        # all read the individual's one road and validity report
+        built, validated, genotype_of, decisions = {}, {}, {}, []
+        build, check, accept = search.build_road, search.validate, search.novelty_accept
+
+        def counted_build(cps):
+            built.setdefault(id(cps), [cps, 0])[1] += 1  # holds cps: no id reuse
+            road = build(cps)
+            genotype_of[id(road)] = cps, road
+            return road
+
+        def counted_check(road):
+            cps, _ = genotype_of[id(road)]
+            validated[id(cps)] = validated.get(id(cps), 0) + 1
+            return check(road)
+
+        def recorded(candidate, curves, mat):
+            decisions.append(accept(candidate, curves, mat))
+            return decisions[-1]
+
+        monkeypatch.setattr(search, "build_road", counted_build)
+        monkeypatch.setattr(search, "validate", counted_check)
+        monkeypatch.setattr(search, "novelty_accept", recorded)
+        cfg = SearchConfig(variant=variant, population_size=6, max_evaluations=30,
+                           seed=5, novelty_filter=novelty)
+        drive = builtin_driver(VehicleParams(speed=25.0))
+        report = run_search(cfg, lambda ind: evaluate(ind, drive))
+
+        assert report.aggregates["T"] == 30 and report.aggregates["F"] >= 1
+        if variant == "C":
+            assert any(e["kind"] == "SEED" and e["guided"] for e in report.events)
+        else:
+            assert [e["kind"] for e in report.events].count("GENERATION") >= 2
+            assert any(decisions) and not all(decisions)
+        assert {id(r.genotype) for r in report.records} <= validated.keys() <= built.keys()
+        assert max(n for _, n in built.values()) == 1
+        assert max(validated.values()) == 1
 
     def test_wall_time_budget_terminates(self):
         cfg = SearchConfig(variant="A", wall_time=0.5, seed=1)
