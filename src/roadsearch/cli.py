@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    result = replay(args.archive, args.test, sut_command=args.sut)
+    result = replay(load_archive(args.archive), args.test, sut_command=args.sut)
     print(f"test {args.test}: verdict {result.verdict}, "
           f"max_oob {result.max_oob:.3f} (matches archive)")
     return 0

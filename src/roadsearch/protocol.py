@@ -139,6 +139,9 @@ class SutSession:
         request = (serialize_road_line(road) + "\n").encode()
         if self._proc is not None and self._stale():
             self._retire()
+        elif self._proc is not None:  # a warning's stderr tail is then this road's
+            self._stderr.seek(0)
+            self._stderr.truncate()
         while True:
             if self._proc is None:
                 try:
@@ -148,7 +151,7 @@ class SutSession:
             try:
                 line = self._exchange(request)
             except TimeoutError:
-                self._retire(kill=True)
+                self._retire(kill=True, problem=f"no reply within {self.sut.timeout:g} s")
                 return invalid_result(ERR_TIMEOUT)
             if line is not None or not self._answered:
                 break
@@ -211,9 +214,9 @@ class SutSession:
 
     def _retire(self, kill: bool = False, problem: str | None = None):
         """End the child: close its stdin and give it ``CLOSE_GRACE`` to
-        exit, or kill it at once. A child that exited nonzero by itself or
-        whose reply was refused (``problem``) is logged as a warning with
-        its stderr tail."""
+        exit, or kill it at once. A child that exited nonzero by itself, or
+        whose reply was refused or never came (``problem``), is logged as a
+        warning with its stderr tail."""
         proc, self._proc = self._proc, None
         proc.stdin.close()
         if not kill:
@@ -226,7 +229,7 @@ class SutSession:
         proc.wait()
         proc.stdout.close()
         if problem or (proc.returncode != 0 and not kill):
-            # the end of the file only: a long-lived child's stderr can be large
+            # the end of the file only: one road's stderr can be large
             self._stderr.seek(max(0, self._stderr.seek(0, os.SEEK_END) - 8192))
             text = self._stderr.read().decode("utf-8", errors="replace")
             tail = text.strip().splitlines()[-STDERR_TAIL_LINES:]
@@ -252,9 +255,9 @@ def external_evaluate(road: RoadSpec, sut: SutDescriptor,
     drives the road; without one the road gets a session of its own. Any
     spawn/timeout/protocol problem returns an INVALID result carrying the
     error tag rather than raising, so the caller's run continues. A child
-    that exits nonzero or replies malformed is logged as a warning with
-    the status and the tail of its stderr; the verdict is still the
-    reply's.
+    that exits nonzero, replies malformed or times out is logged as a
+    warning with the status and the tail of its stderr; a well-formed
+    reply's verdict stands.
     """
     if session is not None:
         return session.evaluate(road)

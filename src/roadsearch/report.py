@@ -188,15 +188,13 @@ def _record_road(record: dict) -> RoadSpec:
     return build_road(ControlPointSet(record["genotype"]))
 
 
-def replay(archive, test_id: int, sut_command: str | None = None) -> TestResult:
-    """Re-run one archived test and check the stored verdict still holds.
+def replay(archive: dict, test_id: int, sut_command: str | None = None) -> TestResult:
+    """Re-run one test of a loaded archive and check its verdict still holds.
 
     ``sut_command`` must be the archive's own SUT command, or None for an
     archive of the built-in simulator; replay refuses any other rather
     than judge with a SUT the archive was not recorded against.
     """
-    if not isinstance(archive, dict):
-        archive = load_archive(archive)
     vparams, sut = _archive_params(archive)
     record = next((r for r in archive["records"] if r["id"] == test_id), None)
     if record is None:

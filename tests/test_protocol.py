@@ -395,6 +395,15 @@ for line in sys.stdin:
     "read_to_eof": """
 print(reply(sys.stdin.read().splitlines()[0]), flush=True)
 """,
+    # 100 KB of stderr per road; records its stderr file's size after each
+    "chatty_stderr": """
+for line in sys.stdin:
+    sys.stderr.write("x" * 100_000 + "\\n")
+    sys.stderr.flush()
+    with open(os.path.join(os.path.dirname(__file__), "sizes"), "a") as fh:
+        fh.write(f"{os.fstat(2).st_size}\\n")
+    print(reply(line), flush=True)
+""",
 }
 
 
@@ -516,13 +525,30 @@ class TestSutSession:
             self.assert_answered(result, road)
         assert len(self.children(pids)) == 3
 
-    def test_reading_to_eof_is_a_timeout(self, tmp_path, roads):
+    def test_reading_to_eof_is_a_timeout(self, tmp_path, roads, caplog):
         sut, pids = self.stub(tmp_path, "read_to_eof", timeout=1.0)
         start = time.monotonic()
-        result = self.drive(sut, roads[:1])[0]
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            result = self.drive(sut, roads[:1])[0]
         assert result.verdict == INVALID and result.error == ERR_TIMEOUT
         assert time.monotonic() - start < 2.5
         assert len(self.children(pids)) == 1
+        # the kill is logged, so a SUT that waits for EOF shows at once
+        [warning] = self.warnings(caplog)
+        assert "status -9" in warning and "no reply within 1 s" in warning
+
+    def test_stderr_file_holds_one_road(self, tmp_path, roads, caplog):
+        # the stderr file used to grow for the child's whole life (2,000,020 B
+        # after these 20 roads); a warning's tail then covered old roads
+        sut, pids = self.stub(tmp_path, "chatty_stderr")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads * 4)
+        for result, road in zip(results, roads * 4):
+            self.assert_answered(result, road)
+        assert len(self.children(pids)) == 1
+        assert self.warnings(caplog) == []
+        sizes = (tmp_path / "sizes").read_text().split()
+        assert sizes == ["100001"] * 20
 
 
 class TestRunLevelEquivalence:
