@@ -1,10 +1,11 @@
 """Run persistence and reporting.
 
 Each run turns into three artifacts: a replayable JSON archive holding
-every evaluated genotype with its verdict, a CSV summary row with the
+every evaluated genotype with its verdict, a summary row with the
 T/P/I/F counts and the Frechet-distance aggregates over the failing
-tests, and one SVG per failing test showing the road and the driven
-trajectory colored by out-of-bounds percentage.
+tests (the CLI writes every run's row to one CSV), and one SVG per
+failing test showing the road and the driven trajectory colored by
+out-of-bounds percentage.
 
 ``replay`` rebuilds a road from an archived genotype and judges it
 again with the archive's SUT, raising :class:`ReplayDivergence` if the
@@ -113,7 +114,8 @@ def write_summary_csv(rows, path):
 
 def write_report(report: RunReport, out_dir, *, vparams: VehicleParams,
                  sut: SutDescriptor, run_id=1) -> dict:
-    """Emit archive + summary + failure SVGs for one run.
+    """Emit the archive and the failure SVGs for one run; its summary row
+    is :func:`summary_row`'s.
 
     Returns a dict of the written paths; the SVGs are those of
     :func:`render_failures`.
@@ -128,10 +130,6 @@ def write_report(report: RunReport, out_dir, *, vparams: VehicleParams,
         json.dump(archive, fh)
     paths["archive"] = archive_path
 
-    summary_path = out / f"run{run_id:02d}_summary.csv"
-    write_summary_csv([summary_row(report, run_id)], summary_path)
-    paths["summary"] = summary_path
-
     paths["svgs"] = render_failures(archive, out, prefix=f"run{run_id:02d}_")
     return paths
 
@@ -139,6 +137,8 @@ def write_report(report: RunReport, out_dir, *, vparams: VehicleParams,
 def load_archive(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("archive: expected an object")
     for key in ("config", "records", "events", "aggregates"):
         if key not in data:
             raise ValueError(f"archive missing {key!r}")
@@ -153,6 +153,10 @@ def load_archive(path) -> dict:
                 raise ValueError(f"archive record {i} missing {key!r}")
             if not isinstance(rec[key], kind):
                 raise ValueError(f"archive record {i}: {key!r} has the wrong type")
+        try:
+            ControlPointSet(rec["genotype"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"archive record {i}: bad genotype ({exc})") from None
     return data
 
 

@@ -317,15 +317,15 @@ def novelty_accept(candidate, curves, mat: np.ndarray) -> bool:
     return new_sum / pairs > old_sum / pairs
 
 
-def _offspring(pop: list, rng, config: SearchConfig, out_of_budget):
+def _offspring(pop: list, rng, config: SearchConfig):
     """Yield one generation's n offspring: tournament selection, crossover
     and mutation. With the novelty filter, a child that would not raise the
     population's average Frechet distance is replaced by its evaluated
     parent.
 
     Every child is drawn before the first is yielded, so the RNG order
-    does not depend on the budget; a child is built and checked only if
-    the budget is not spent when its turn comes."""
+    does not depend on the budget; a child is built and checked only when
+    it is pulled, and the caller stops pulling once the budget is spent."""
     drawn: list[tuple[Individual, Individual]] = []
     while len(drawn) < config.population_size:
         p1 = select(pop, rng)
@@ -341,8 +341,6 @@ def _offspring(pop: list, rng, config: SearchConfig, out_of_budget):
         curves = [p.road.centerline for p in pop]
         mat = _pairwise_frechet(curves)
     for child, parent in drawn:
-        if out_of_budget():
-            return
         if config.novelty_filter and not novelty_accept(child.road.centerline, curves, mat):
             child = parent  # denied: the slot keeps the parent
         yield child
@@ -377,36 +375,6 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
         if reporter is not None:
             reporter(event)
 
-    def seeds(guided: bool):
-        # draw each seed just before its evaluation and none once the
-        # budget is spent: after a FAIL in B/C the reseed draws next
-        for _ in range(config.population_size):
-            if out_of_budget():
-                return
-            yield guided_seed_individual(rng) if guided else random_individual(rng)
-
-    def evaluate_in_order(batch):
-        """Evaluate the batch's unevaluated individuals in order until the
-        budget runs out or, in B/C, a FAIL. Returns the individuals
-        reached and whether to reseed."""
-        reached: list[Individual] = []
-        for ind in batch:
-            if not ind.evaluated:
-                if out_of_budget():
-                    break
-                t0 = time.perf_counter()
-                evaluator(ind)
-                rec = TestRecord(len(records), ind.genotype, ind.verdict, ind.fitness,
-                                 time.perf_counter() - t0, ind.error)
-                records.append(rec)
-                if ind.verdict == FAIL:
-                    archive.add(ind)
-                    emit("FAIL", test=rec.id, fitness=ind.fitness)
-            reached.append(ind)
-            if ind.verdict == FAIL and config.variant in RESTART_VARIANTS:
-                return reached, True
-        return reached, False
-
     epoch = gen_index = 0
     pop: list[Individual] = []  # empty until a seed batch completes
     partial_seed = False
@@ -416,12 +384,29 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
             guided = config.variant == "C" and epoch > 0
             emit("SEED", epoch=epoch, guided=guided)
             gen_index = 0
-            batch = seeds(guided)
+            draw = guided_seed_individual if guided else random_individual
+            batch = (draw(rng) for _ in range(config.population_size))
         else:
             gen_index += 1
             emit("GENERATION", epoch=epoch, index=gen_index)
-            batch = _offspring(pop, rng, config, out_of_budget)
-        reached, reseed = evaluate_in_order(batch)
+            batch = _offspring(pop, rng, config)
+        # evaluate in order; only here is the budget checked, before the next
+        # individual is drawn or built. Only a fresh FAIL reseeds (no B/C population holds one).
+        reached, reseed = [], False
+        for ind in batch:
+            if not ind.evaluated:
+                t0 = time.perf_counter()
+                evaluator(ind)
+                rec = TestRecord(len(records), ind.genotype, ind.verdict, ind.fitness,
+                                 time.perf_counter() - t0, ind.error)
+                records.append(rec)
+                if ind.verdict == FAIL:
+                    archive.add(ind)
+                    emit("FAIL", test=rec.id, fitness=ind.fitness)
+                    reseed = config.variant in RESTART_VARIANTS
+            reached.append(ind)
+            if reseed or out_of_budget():
+                break
         if reseed:
             emit("RESEED", epoch=epoch)
             epoch += 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from roadsearch.geometry import ControlPointSet, frechet_pairs
-from roadsearch.protocol import SutDescriptor, external_evaluate
+from roadsearch.protocol import SutDescriptor, SutSession, external_evaluate
 from roadsearch.report import load_archive, replay, summary_row, write_report
 from roadsearch.road import build_road, validate
 from roadsearch.search import (
@@ -258,11 +258,12 @@ def test_8_protocol_differential():
         command=f"{sys.executable} -m roadsearch.protocol --speed 25",
         timeout=120.0)
     worst = 0.0
-    for road in roads:
-        ref = run_test(road, VEHICLE_25)
-        ext = external_evaluate(road, sut)
-        assert ext.verdict == ref.verdict
-        worst = max(worst, abs(ext.max_oob - ref.max_oob))
+    with SutSession(sut) as session:  # one child for all roads, as `roadsearch run` does
+        for road in roads:
+            ref = run_test(road, VEHICLE_25)
+            ext = external_evaluate(road, sut, session)
+            assert ext.verdict == ref.verdict
+            worst = max(worst, abs(ext.max_oob - ref.max_oob))
     assert worst <= 1e-9
     report_line(8, f"50 roads, protocol vs in-process: verdicts identical, "
                    f"max |delta max_oob| = {worst:.2e}")

@@ -37,6 +37,7 @@ class TestRun:
         rows = read_summary(out / "summary.csv")
         assert len(rows) == 1
         assert int(rows[0]["T"]) == 30
+        assert sum(int(rows[0][k]) for k in "PIF") == 30
 
     def test_multiple_runs_increment_seed(self, tmp_path):
         out = tmp_path / "out"
@@ -254,6 +255,23 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("archive, message", [
+        (42, "expected an object"),
+        (None, "expected an object"),
+        ("config records events aggregates", "expected an object"),
+        ({"config": {}, "events": [], "aggregates": {}, "records": [
+            {"id": 0, "genotype": [{"x": 1}], "verdict": "PASS", "fitness": 0.0}]},
+         "archive record 0: bad genotype"),
+    ], ids=["number", "null", "string", "genotype"])
+    def test_replay_of_a_malformed_archive(self, tmp_path, capsys, archive, message):
+        # each used to end in a TypeError traceback
+        path = tmp_path / "archive.json"
+        path.write_text(json.dumps(archive))
+        code = main(["replay", "--archive", str(path), "--test", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestRenderCommand:

@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -108,12 +107,11 @@ class TestSummary:
 
 
 class TestWriteReport:
-    def test_emits_archive_summary_and_svgs(self, tmp_path):
+    def test_emits_archive_and_svgs(self, tmp_path):
         report = stub_report([0.0, 10.0])
         paths = write_report(report, tmp_path, vparams=VP,
                              sut=BUILTIN, run_id=1)
         assert paths["archive"].exists()
-        assert paths["summary"].exists()
         assert len(paths["svgs"]) == 2
         for svg in paths["svgs"]:
             ET.parse(svg)  # well-formed XML
@@ -127,14 +125,6 @@ class TestWriteReport:
         assert archive["config"]["search"]["variant"] == "A"
         assert len(archive["records"]) == report.aggregates["T"]
         assert archive["aggregates"]["T"] == report.aggregates["T"]
-
-    def test_summary_arithmetic_from_file(self, tmp_path):
-        report = stub_report([0.0, 10.0], n_pass=4)
-        paths = write_report(report, tmp_path, vparams=VP,
-                             sut=BUILTIN)
-        with open(paths["summary"]) as fh:
-            row = next(csv.DictReader(fh))
-        assert int(row["T"]) == int(row["P"]) + int(row["I"]) + int(row["F"])
 
 
 @pytest.fixture(scope="module")

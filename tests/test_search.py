@@ -489,6 +489,33 @@ class TestRunSearch:
         assert last["kind"] == "BUDGET_EXHAUSTED"
         assert last["partial_seed"] is True
 
+    @staticmethod
+    def count_draws(monkeypatch, name):
+        draws, draw = [], getattr(search, name)
+        monkeypatch.setattr(search, name, lambda rng: draws.append(1) or draw(rng))
+        return draws
+
+    def test_no_seed_drawn_past_the_budget(self, monkeypatch):
+        # the budget is checked before each seed is drawn, not after
+        draws = self.count_draws(monkeypatch, "random_individual")
+        cfg = SearchConfig(variant="A", population_size=25, max_evaluations=7, seed=2)
+        report = run_search(cfg, stub_evaluator(fitness_by_mean_y))
+        assert report.aggregates["T"] == 7
+        assert len(draws) == 7
+
+    def test_no_guided_seed_drawn_past_the_budget(self, monkeypatch, polygon_roads):
+        # the first test fails and variant C reseeds, guided; the budget
+        # ends five tests into that batch of 15
+        draws = self.count_draws(monkeypatch, "guided_seed_individual")
+        verdicts = iter([FAIL])
+        evaluator = stub_evaluator(fitness_by_mean_y, lambda c: next(verdicts, PASS))
+        cfg = SearchConfig(variant="C", max_evaluations=6, seed=4)
+        report = run_search(cfg, evaluator)
+        assert [(e["kind"], e.get("guided")) for e in report.events] == [
+            ("SEED", False), ("FAIL", None), ("RESEED", None), ("SEED", True),
+            ("BUDGET_EXHAUSTED", None)]
+        assert len(draws) == report.aggregates["T"] - 1 == 5
+
     def test_genotype_closure(self):
         cfg = SearchConfig(variant="A", max_evaluations=150, seed=29)
         report = run_search(cfg, stub_evaluator(fitness_by_mean_y))
