@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 from . import __version__, search, simulator
@@ -74,14 +75,14 @@ def archive_to_dict(report: RunReport, vparams: VehicleParams, sut: SutDescripto
         "config": cfg,
         "records": [
             {
-                "id": r.id,
-                "genotype": r.genotype.points.tolist(),
-                "verdict": r.verdict,
-                "fitness": r.fitness,
-                "eval_time": r.eval_time,
-                "error": r.error,
+                "id": i,
+                "genotype": ind.genotype.points.tolist(),
+                "verdict": ind.verdict,
+                "fitness": ind.fitness,
+                "eval_time": ind.eval_time,
+                "error": ind.error,
             }
-            for r in report.records
+            for i, ind in enumerate(report.records)
         ],
         "events": report.events,
         "aggregates": report.aggregates,
@@ -151,8 +152,11 @@ def load_archive(path) -> dict:
                           ("fitness", (int, float))):
             if key not in rec:
                 raise ValueError(f"archive record {i} missing {key!r}")
-            if not isinstance(rec[key], kind):
+            if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
                 raise ValueError(f"archive record {i}: {key!r} has the wrong type")
+        # false for NaN, inf and ints too large for a float (a NaN replays as a match)
+        if not abs(rec["fitness"]) <= sys.float_info.max:
+            raise ValueError(f"archive record {i}: 'fitness' is not finite")
         try:
             ControlPointSet(rec["genotype"])
         except (TypeError, ValueError) as exc:
@@ -218,7 +222,7 @@ def replay(archive: dict, test_id: int, sut_command: str | None = None) -> TestR
 
     stored = (record["verdict"], float(record["fitness"]))
     fresh = (result.verdict, result.max_oob)
-    if stored[0] != fresh[0] or abs(stored[1] - fresh[1]) > 1e-9:
+    if stored[0] != fresh[0] or not abs(stored[1] - fresh[1]) <= 1e-9:
         raise ReplayDivergence(test_id, stored, fresh)
     return result
 

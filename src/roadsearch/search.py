@@ -33,7 +33,6 @@ __all__ = [
     "SearchConfig",
     "Individual",
     "FailureArchive",
-    "TestRecord",
     "RunReport",
     "random_individual",
     "guided_seed_individual",
@@ -123,12 +122,14 @@ class SearchConfig:
 @dataclass(eq=False)  # identity semantics; fields hold numpy arrays
 class Individual:
     """A genotype with its road and validity, each made once when first
-    read, and the verdict and fitness its evaluation fills in."""
+    read, and the verdict and fitness its evaluation fills in;
+    ``run_search`` adds the seconds that evaluation took."""
 
     genotype: ControlPointSet
     fitness: float | None = None
     verdict: str | None = None
     error: str | None = None
+    eval_time: float | None = None
 
     @property
     def evaluated(self) -> bool:
@@ -144,38 +145,22 @@ class Individual:
 
 
 @dataclass
-class TestRecord:
-    __test__ = False  # not a pytest class
-
-    id: int
-    genotype: ControlPointSet
-    verdict: str
-    fitness: float
-    eval_time: float
-    error: str | None = None
-
-
-@dataclass
 class RunReport:
     config: SearchConfig
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # evaluated Individuals; record i is test i
     events: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
 
 
 class FailureArchive:
     """Failing individuals plus their pairwise Frechet matrix, computed
-    once and kept until the next :meth:`add`."""
+    once when first read."""
 
-    def __init__(self):
-        self.failures: list[Individual] = []
-        self._matrix: np.ndarray | None = None
-
-    def add(self, ind: Individual):
-        if ind.verdict != FAIL:
+    def __init__(self, failures: list[Individual]):
+        if any(ind.verdict != FAIL for ind in failures):
             raise ValueError("archive only holds failing individuals")
-        self.failures.append(ind)
-        self._matrix = None
+        self.failures = failures
+        self._matrix: np.ndarray | None = None
 
     def pairwise(self) -> np.ndarray:
         if self._matrix is None:
@@ -359,9 +344,8 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
     FAIL event is immediately followed by a RESEED event.
     """
     rng = np.random.default_rng(config.seed)
-    records: list[TestRecord] = []
+    records: list[Individual] = []
     events: list[dict] = []
-    archive = FailureArchive()
     deadline = time.monotonic() + config.wall_time if config.wall_time else None
 
     def out_of_budget() -> bool:
@@ -397,12 +381,10 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
             if not ind.evaluated:
                 t0 = time.perf_counter()
                 evaluator(ind)
-                rec = TestRecord(len(records), ind.genotype, ind.verdict, ind.fitness,
-                                 time.perf_counter() - t0, ind.error)
-                records.append(rec)
+                ind.eval_time = time.perf_counter() - t0
+                records.append(ind)
                 if ind.verdict == FAIL:
-                    archive.add(ind)
-                    emit("FAIL", test=rec.id, fitness=ind.fitness)
+                    emit("FAIL", test=len(records) - 1, fitness=ind.fitness)
                     reseed = config.variant in RESTART_VARIANTS
             reached.append(ind)
             if reseed or out_of_budget():
@@ -427,8 +409,9 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
     emit("BUDGET_EXHAUSTED", evaluations=len(records), partial_seed=partial_seed)
 
     counts = {PASS: 0, INVALID: 0, FAIL: 0}
-    for rec in records:
-        counts[rec.verdict] += 1
+    for ind in records:
+        counts[ind.verdict] += 1
+    archive = FailureArchive([ind for ind in records if ind.verdict == FAIL])
     aggregates = {
         "T": len(records),
         "P": counts[PASS],

@@ -19,7 +19,6 @@ from roadsearch.search import (
     FAIL,
     RunReport,
     SearchConfig,
-    TestRecord,
     builtin_driver,
     evaluate,
     random_individual,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -24,6 +25,14 @@ def read_summary(path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def straight_archive(**record):
+    """A built-in archive of one straight road's PASS, with ``record``'s
+    fields in place of the stored ones."""
+    genotype = [[10.0 + 30.0 * i, 100.0] for i in range(7)]
+    return {"config": {}, "events": [], "aggregates": {}, "records": [
+        {"id": 0, "genotype": genotype, "verdict": "PASS", "fitness": 0.0, **record}]}
 
 
 class TestRun:
@@ -263,9 +272,16 @@ class TestReplayCommand:
         ({"config": {}, "events": [], "aggregates": {}, "records": [
             {"id": 0, "genotype": [{"x": 1}], "verdict": "PASS", "fitness": 0.0}]},
          "archive record 0: bad genotype"),
-    ], ids=["number", "null", "string", "genotype"])
+        # these used to load; a stored NaN then replayed as a match
+        (straight_archive(fitness=math.nan), "archive record 0: 'fitness' is not finite"),
+        (straight_archive(fitness=math.inf), "archive record 0: 'fitness' is not finite"),
+        (straight_archive(fitness=10 ** 400), "archive record 0: 'fitness' is not finite"),
+        (straight_archive(fitness=False), "archive record 0: 'fitness' has the wrong type"),
+        (straight_archive(id=False), "archive record 0: 'id' has the wrong type"),
+    ], ids=["number", "null", "string", "genotype", "nan-fitness", "inf-fitness",
+            "huge-fitness", "bool-fitness", "bool-id"])
     def test_replay_of_a_malformed_archive(self, tmp_path, capsys, archive, message):
-        # each used to end in a TypeError traceback
+        # each of the first four used to end in a TypeError traceback
         path = tmp_path / "archive.json"
         path.write_text(json.dumps(archive))
         code = main(["replay", "--archive", str(path), "--test", "0"])
@@ -323,9 +339,11 @@ class TestRenderCommand:
         ([{"id": 0, "genotype": [[0, 0], [1, 1]], "verdict": "FAIL"}], "missing 'fitness'"),
         ([{"id": 0, "genotype": [[0, 0], [1, 1]], "verdict": "FAIL", "fitness": None}],
          "'fitness' has the wrong type"),
+        ([{"id": 0, "genotype": [[0, 0], [1, 1]], "verdict": "FAIL", "fitness": math.nan}],
+         "'fitness' is not finite"),
         (["not a record"], "expected an object"),
         ({"id": 0}, "expected a list"),
-    ], ids=["genotype", "fitness", "null-fitness", "record", "records"])
+    ], ids=["genotype", "fitness", "null-fitness", "nan-fitness", "record", "records"])
     def test_render_of_an_archive_with_malformed_records(self, tmp_path, capsys,
                                                          records, message):
         # render used to die with a KeyError traceback

@@ -23,9 +23,9 @@ from roadsearch.road import build_road
 from roadsearch.search import (
     FAIL,
     PASS,
+    Individual,
     RunReport,
     SearchConfig,
-    TestRecord,
     builtin_driver,
     evaluate,
     run_search,
@@ -58,11 +58,11 @@ def stub_report(fail_centerline_xs, n_pass=2, config=None):
     failures = []
     for i, x in enumerate(fail_centerline_xs):
         geno = ControlPointSet(straight_points(y=100.0 + i))
-        records.append(TestRecord(len(records), geno, FAIL, 99.0, 0.01))
+        records.append(Individual(geno, 99.0, FAIL, eval_time=0.01))
         failures.append(np.array([[float(x), 0.0]]))
     for i in range(n_pass):
         geno = ControlPointSet(straight_points(y=50.0 + i))
-        records.append(TestRecord(len(records), geno, PASS, 0.0, 0.01))
+        records.append(Individual(geno, 0.0, PASS, eval_time=0.01))
     n = len(failures)
     if n >= 2:
         dists = [frechet_pairs(failures[i], failures[j])[0]
@@ -219,7 +219,7 @@ class TestReplay:
         geno = ControlPointSet(straight_points())
         report = RunReport(
             config=SearchConfig(variant="A", max_evaluations=1, seed=0),
-            records=[TestRecord(0, geno, FAIL, 99.0, 0.01)],
+            records=[Individual(geno, 99.0, FAIL, eval_time=0.01)],
             events=[], aggregates={"T": 1, "P": 0, "I": 0, "F": 1,
                                    "avg_frechet_failures": None,
                                    "max_frechet_failures": None})

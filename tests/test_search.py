@@ -25,6 +25,8 @@ from roadsearch.search import (
     run_search,
     select,
 )
+from roadsearch.protocol import SutDescriptor
+from roadsearch.report import archive_to_dict
 from roadsearch.road import RoadSpec, ValidityReport
 from roadsearch.simulator import VehicleParams
 
@@ -363,40 +365,45 @@ class TestNoveltyAccept:
 
 
 class TestFailureArchive:
-    def test_only_failures_accepted(self):
-        arch = FailureArchive()
-        with pytest.raises(ValueError):
-            arch.add(make_ind([[0, 0], [1, 1], [2, 2]], fitness=0.0, verdict=PASS))
-
-    def test_aggregates(self):
-        arch = FailureArchive()
-        for x in (0.0, 3.0):
+    @staticmethod
+    def failing(*xs):
+        # one failing individual per x, its road a 1 m segment starting there
+        inds = []
+        for x in xs:
             ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
             c = np.array([[x, 0.0], [x + 1.0, 0.0]])
             ind.road = RoadSpec(c, c, c)
-            arch.add(ind)
+            inds.append(ind)
+        return inds
+
+    def test_only_failures_accepted(self):
+        passing = make_ind([[0, 0], [1, 1], [2, 2]], fitness=0.0, verdict=PASS)
+        with pytest.raises(ValueError, match="only holds failing"):
+            FailureArchive(self.failing(0.0) + [passing])
+
+    def test_aggregates(self):
+        arch = FailureArchive(self.failing(0.0, 3.0))
         assert arch.avg_frechet() == pytest.approx(3.0)
         assert arch.max_frechet() == pytest.approx(3.0)
 
-    def test_matrix_refreshed_after_add(self):
-        arch = FailureArchive()
-        for x in (0.0, 3.0, 10.0):
-            ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
-            c = np.array([[x, 0.0], [x + 1.0, 0.0]])
-            ind.road = RoadSpec(c, c, c)
-            arch.add(ind)
-            if x == 3.0:
-                assert arch.max_frechet() == pytest.approx(3.0)
-        assert arch.pairwise().shape == (3, 3)
+    def test_avg_and_max_share_one_matrix(self, monkeypatch):
+        calls = []
+        kernel = search.frechet_pairs
+
+        def counted(a, b):
+            calls.append(len(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(search, "frechet_pairs", counted)
+        arch = FailureArchive(self.failing(0.0, 3.0, 10.0))
+        assert arch.avg_frechet() == pytest.approx((3.0 + 10.0 + 7.0) / 3)
         assert arch.max_frechet() == pytest.approx(10.0)
+        assert arch.pairwise().shape == (3, 3)
+        assert calls == [3]  # one batched call for the three pairs
 
     def test_na_below_two(self):
-        arch = FailureArchive()
-        assert arch.avg_frechet() is None
-        ind = make_ind([[0, 0], [1, 1], [2, 2]], fitness=99.0, verdict=FAIL)
-        c = np.array([[0.0, 0.0], [1.0, 0.0]])
-        ind.road = RoadSpec(c, c, c)
-        arch.add(ind)
+        assert FailureArchive([]).avg_frechet() is None
+        arch = FailureArchive(self.failing(0.0))
         assert arch.avg_frechet() is None and arch.max_frechet() is None
 
 
@@ -436,6 +443,31 @@ class TestRunSearch:
         kinds = [e["kind"] for e in report.events]
         assert kinds.count("RESEED") == 0
         assert report.aggregates["F"] == 30
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_records_are_the_evaluated_individuals(self, variant):
+        received = []
+        fails_high = lambda c: FAIL if c.points[:, 1].mean() > 120 else PASS
+        stub = stub_evaluator(fitness_by_mean_y, fails_high)
+
+        def evaluator(ind):
+            received.append(ind)
+            return stub(ind)
+
+        cfg = SearchConfig(variant=variant, max_evaluations=60, seed=3)
+        report = run_search(cfg, evaluator)
+        assert len(report.records) == len(received) == 60
+        assert all(r is ind for r, ind in zip(report.records, received))
+        assert len({id(r) for r in report.records}) == 60
+        assert all(r.eval_time is not None and r.eval_time >= 0 for r in report.records)
+        fail_tests = [e["test"] for e in report.events if e["kind"] == "FAIL"]
+        assert fail_tests
+        assert fail_tests == [i for i, r in enumerate(report.records) if r.verdict == FAIL]
+
+        archive = archive_to_dict(report, VehicleParams(speed=25.0), SutDescriptor())
+        for i, rec in enumerate(archive["records"]):
+            assert rec["id"] == i
+            assert list(rec) == ["id", "genotype", "verdict", "fitness", "eval_time", "error"]
 
     def test_guided_seed_fraction(self, polygon_roads):
         # validity cuts the genotype space in half; guided draws accept
@@ -579,7 +611,7 @@ class TestRunSearch:
             monkeypatch.setattr(search, "novelty_accept", checked)
             report = run_search(cfg, stub_evaluator(fitness_by_mean_y, fails_high))
             monkeypatch.undo()
-            records = [(r.id, r.genotype.points.tolist(), r.verdict, r.fitness, r.error)
+            records = [(r.genotype.points.tolist(), r.verdict, r.fitness, r.error)
                        for r in report.records]
             return records, report.events, report.aggregates, decisions
 
