@@ -68,7 +68,7 @@ def read_config(path) -> dict:
         return {}
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested deeper than it goes
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import select
 import shlex
@@ -81,9 +80,10 @@ class SutDescriptor:
                 words = []
             if not words:
                 raise ValueError(f"command {self.command!r} names no program")
-        # a NaN or infinite timeout would abort the first driven road
-        if isinstance(self.timeout, bool) or not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be positive and finite")
+        # a NaN, infinite or huge timeout would abort the first driven road
+        # (select() overflows time_t near 9.2e9 s; 1e9 s is about 31 years)
+        if isinstance(self.timeout, bool) or not 0 < self.timeout <= 1e9:
+            raise ValueError("timeout must be positive, finite and at most 1e9 s")
 
 
 def serialize_road_line(road: RoadSpec) -> str:
@@ -92,7 +92,10 @@ def serialize_road_line(road: RoadSpec) -> str:
 
 def parse_reply(line: str) -> TestResult:
     """Decode one reply line; raises ValueError on anything malformed."""
-    data = json.loads(line)
+    try:
+        data = json.loads(line)
+    except RecursionError as exc:  # nested deeper than the parser goes
+        raise ValueError(str(exc)) from None
     if not isinstance(data, dict):
         raise ValueError("reply is not a JSON object")
     verdict = data.get("verdict")
@@ -282,7 +285,7 @@ def serve_builtin(drive, stdin=None, stdout=None):
         try:
             road = road_from_dict(json.loads(line))
             result = judge(road, validate(road), drive)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             result = invalid_result(ERR_PROTOCOL)
         stdout.write(result_to_reply(result) + "\n")
         stdout.flush()

@@ -18,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, search, simulator
+from . import __version__
 from .geometry import MAP_SIZE, ControlPointSet
-from .road import PARAMS, RoadSpec, build_road, validate
+from .road import RoadSpec, build_road, validate
 from .search import RunReport, builtin_driver, judge
 from .simulator import FAIL, TestResult, VehicleParams, run_test
 from .protocol import SutDescriptor, external_evaluate
@@ -39,20 +39,6 @@ __all__ = [
 ]
 
 SUMMARY_COLUMNS = ["Run", "T", "P", "I", "F", "AvgFrechet", "MaxFrechet"]
-
-# settings that older archives carry and that are now module constants,
-# with the one value this version runs them at
-_RETIRED = {
-    "search": {"mutation_prob": search.MUTATION_PROB, "mutation_range": search.MUTATION_RANGE,
-               "tournament_size": search.TOURNAMENT_SIZE, "elitism": 1,
-               "crossover_prob": search.CROSSOVER_PROB,
-               "num_control_points": search.NUM_CONTROL_POINTS},
-    "road": PARAMS,
-    "vehicle": {"wheelbase": simulator.WHEELBASE, "width": simulator.WIDTH,
-                "length": simulator.LENGTH, "max_steer": simulator.MAX_STEER,
-                "lookahead": simulator.LOOKAHEAD, "steer_rate": simulator.STEER_RATE},
-}
-
 
 class ReplayDivergence(RuntimeError):
     """Stored and freshly computed results disagree."""
@@ -137,7 +123,10 @@ def write_report(report: RunReport, out_dir, *, vparams: VehicleParams,
 
 def load_archive(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # nested deeper than the parser goes
+            raise ValueError(f"archive: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("archive: expected an object")
     for key in ("config", "records", "events", "aggregates"):
@@ -165,31 +154,10 @@ def load_archive(path) -> dict:
 
 
 def _archive_params(archive: dict):
-    # read like a config file, a missing section as its defaults; an older
-    # archive's "dt" and "max_time" are ignored and its sut.kind dropped: a
-    # "builtin" one was driven by the built-in simulator. A retired setting
-    # is dropped at this version's value and refused at any other, and the
-    # road section, all of it retired, goes once it is empty.
-    raw = archive["config"]
-    if not isinstance(raw, dict):
+    # (vparams, sut) read as a config file is: a retired key or section is unknown
+    if not isinstance(archive["config"], dict):
         raise ConfigError("archive config: expected an object")
-    for section, values in raw.items():
-        if not isinstance(values, dict):
-            raise ConfigError(f"archive config.{section}: expected an object")
-    config = {section: dict(values) for section, values in raw.items()}
-    for section, retired in _RETIRED.items():
-        for key, value in retired.items():
-            archived = config.get(section, {}).pop(key, value)
-            if archived != value:
-                raise ConfigError(f"{section}.{key}: the archive was run at {archived!r}, "
-                                  f"this version only at {value!r}")
-    if config.get("road") == {}:
-        del config["road"]
-    sut = config.get("sut", {})
-    if sut.pop("kind", None) == "builtin":
-        sut.pop("command", None)
-    _, vparams, sut = parse_config_dict(config)
-    return vparams, sut
+    return parse_config_dict(archive["config"])[1:]
 
 
 def _record_road(record: dict) -> RoadSpec:

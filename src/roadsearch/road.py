@@ -52,8 +52,8 @@ NUM_SAMPLES = 100
 MIN_RADIUS = 7.0
 OVERLAP_BUFFER = 2.0 * LANE_WIDTH
 
-# the geometry under the names that a protocol road line's "params" and an
-# older archive's "road" section give it, in the order they always have
+# the geometry under the names that a protocol road line's "params" gives
+# it, in the order it always has
 PARAMS = {"lane_width": LANE_WIDTH, "num_samples": NUM_SAMPLES, "min_radius": MIN_RADIUS,
           "map_size": MAP_SIZE, "overlap_buffer": OVERLAP_BUFFER}
 

@@ -27,6 +27,12 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+# nested deeper than json's parser goes; it used to end in a RecursionError
+DEEP = "[" * 100000 + "]" * 100000
+RETIRED_ROAD = {"lane_width": 4.0, "num_samples": 100, "min_radius": 7.0,
+                "map_size": 200.0, "overlap_buffer": 8.0}
+
+
 def straight_archive(**record):
     """A built-in archive of one straight road's PASS, with ``record``'s
     fields in place of the stored ones."""
@@ -265,29 +271,43 @@ class TestReplayCommand:
         assert err.startswith("error: ") and repr(key) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("archive, message", [
-        (42, "expected an object"),
-        (None, "expected an object"),
-        ("config records events aggregates", "expected an object"),
-        ({"config": {}, "events": [], "aggregates": {}, "records": [
-            {"id": 0, "genotype": [{"x": 1}], "verdict": "PASS", "fitness": 0.0}]},
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(42), "expected an object"),
+        (json.dumps(None), "expected an object"),
+        (json.dumps("config records events aggregates"), "expected an object"),
+        (json.dumps({"config": {}, "events": [], "aggregates": {}, "records": [
+            {"id": 0, "genotype": [{"x": 1}], "verdict": "PASS", "fitness": 0.0}]}),
          "archive record 0: bad genotype"),
         # these used to load; a stored NaN then replayed as a match
-        (straight_archive(fitness=math.nan), "archive record 0: 'fitness' is not finite"),
-        (straight_archive(fitness=math.inf), "archive record 0: 'fitness' is not finite"),
-        (straight_archive(fitness=10 ** 400), "archive record 0: 'fitness' is not finite"),
-        (straight_archive(fitness=False), "archive record 0: 'fitness' has the wrong type"),
-        (straight_archive(id=False), "archive record 0: 'id' has the wrong type"),
+        (json.dumps(straight_archive(fitness=math.nan)),
+         "archive record 0: 'fitness' is not finite"),
+        (json.dumps(straight_archive(fitness=math.inf)),
+         "archive record 0: 'fitness' is not finite"),
+        (json.dumps(straight_archive(fitness=10 ** 400)),
+         "archive record 0: 'fitness' is not finite"),
+        (json.dumps(straight_archive(fitness=False)),
+         "archive record 0: 'fitness' has the wrong type"),
+        (json.dumps(straight_archive(id=False)), "archive record 0: 'id' has the wrong type"),
+        (DEEP, "archive: maximum recursion depth exceeded"),
+        # written while these were settings; they used to replay
+        (json.dumps({**straight_archive(), "config": {"road": RETIRED_ROAD}}),
+         "unknown section(s): road"),
+        (json.dumps({**straight_archive(), "config": {"vehicle": {"lookahead": 8.0}}}),
+         "vehicle.lookahead: unknown key"),
+        (json.dumps({**straight_archive(), "config": {"sut": {"kind": "builtin"}}}),
+         "sut.kind: unknown key"),
     ], ids=["number", "null", "string", "genotype", "nan-fitness", "inf-fitness",
-            "huge-fitness", "bool-fitness", "bool-id"])
-    def test_replay_of_a_malformed_archive(self, tmp_path, capsys, archive, message):
+            "huge-fitness", "bool-fitness", "bool-id", "deep", "road-section",
+            "lookahead", "sut-kind"])
+    def test_replay_of_a_malformed_archive(self, tmp_path, capsys, text, message):
         # each of the first four used to end in a TypeError traceback
         path = tmp_path / "archive.json"
-        path.write_text(json.dumps(archive))
+        path.write_text(text)
         code = main(["replay", "--archive", str(path), "--test", "0"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestRenderCommand:
@@ -315,22 +335,31 @@ class TestRenderCommand:
                 (out / f"run01_{name}").read_bytes()
 
 
-    @pytest.mark.parametrize("config", ["not a config", {"vehicle": "fast"}],
-                             ids=["config", "section"])
-    def test_render_of_an_archive_with_a_malformed_config(self, tmp_path, capsys, config):
-        # render used to die with an AttributeError traceback
+    @pytest.mark.parametrize("edit, message", [
+        # these two used to die with an AttributeError traceback
+        (lambda config: "not a config", "expected an object"),
+        (lambda config: {"vehicle": "fast"}, "expected an object"),
+        # written while these were settings; they used to render
+        (lambda config: {**config, "road": RETIRED_ROAD}, "unknown section(s): road"),
+        (lambda config: {**config, "vehicle": {**config["vehicle"], "lookahead": 8.0}},
+         "vehicle.lookahead: unknown key"),
+        (lambda config: {**config, "sut": {**config["sut"], "kind": "builtin"}},
+         "sut.kind: unknown key"),
+    ], ids=["config", "section", "road-section", "lookahead", "sut-kind"])
+    def test_render_of_an_archive_with_a_malformed_config(self, tmp_path, capsys,
+                                                          edit, message):
         out = tmp_path / "out"
         main(["run", "--variant", "A", "--seed", "3", "--budget-evals", "5",
               "--out", str(out)])
         archive = read_json(out / "run01.json")
-        archive["config"] = config
+        archive["config"] = edit(archive["config"])
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(archive))
         capsys.readouterr()
         code = main(["render", "--archive", str(edited), "--out", str(tmp_path / "svgs")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "expected an object" in err
+        assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "svgs").exists()
 

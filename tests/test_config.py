@@ -76,6 +76,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config_dict(read_config(path))
 
+    def test_deeply_nested_json_file(self, tmp_path):
+        # the JSON parser's RecursionError used to escape as a traceback
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ConfigError, match="invalid JSON: maximum recursion depth"):
+            read_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config_dict(read_config(tmp_path / "nope.json"))
@@ -89,6 +96,7 @@ class TestValidation:
                           ('{"search": {"wall_time": Infinity}}', "wall_time"),
                           ('{"sut": {"timeout": NaN}}', "timeout"),
                           ('{"sut": {"timeout": Infinity}}', "timeout"),
+                          ('{"sut": {"timeout": 1e300}}', "timeout"),
                           ('{"vehicle": {"speed": true}}', "speed"),
                           ('{"sut": {"timeout": true}}', "timeout"),
                           ('{"search": {"wall_time": true}}', "wall_time"),

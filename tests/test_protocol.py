@@ -31,6 +31,8 @@ from roadsearch.simulator import INVALID, VehicleParams, invalid_result, run_tes
 
 PY = sys.executable
 ALL_POINTS = ("centerline", "left_boundary", "right_boundary")
+# nested deeper than json's parser goes
+DEEP = "[" * 100000 + "]" * 100000
 
 
 def valid_road(seed=3):
@@ -54,10 +56,11 @@ class TestSutDescriptor:
         with pytest.raises(ValueError, match="names no program"):
             SutDescriptor(command=command)
 
-    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0, 1e10, 1e300])
     def test_timeout_must_be_positive_and_finite(self, timeout):
         # NaN and inf used to pass here and abort the run at the first
-        # driven road, inside subprocess.run
+        # driven road, inside subprocess.run; 1e300 did too, as an
+        # OverflowError in select()
         with pytest.raises(ValueError, match="timeout"):
             SutDescriptor(command="cat", timeout=timeout)
 
@@ -82,6 +85,7 @@ class TestReplyParsing:
         '{"verdict": "FAIL", "max_oob": true}',
         '[1, 2, 3]',
         'not json at all',
+        pytest.param(DEEP, id="deep"),  # used to raise a RecursionError
     ])
     def test_malformed_rejected(self, line):
         with pytest.raises((ValueError, TypeError)):
@@ -150,17 +154,20 @@ class TestServeBuiltin:
         assert reply["verdict"] == INVALID
 
     @pytest.mark.parametrize("keys,points", [
-        (ALL_POINTS, []), (ALL_POINTS, [1, 2, 3]), (ALL_POINTS, 5),
-        (ALL_POINTS, [[0, 0]]), (ALL_POINTS, [[0, 0, 0], [1, 1, 1]]),
-        (ALL_POINTS, [[0, 0], [math.nan, 1]]), (("left_boundary",), [[0, 0], [1, 1]])],
-        ids=["empty", "flat", "scalar", "one-point", "3d", "nan", "short-left"])
+        (ALL_POINTS, "[]"), (ALL_POINTS, "[1, 2, 3]"), (ALL_POINTS, "5"),
+        (ALL_POINTS, "[[0, 0]]"), (ALL_POINTS, "[[0, 0, 0], [1, 1, 1]]"),
+        (ALL_POINTS, "[[0, 0], [NaN, 1]]"), (("left_boundary",), "[[0, 0], [1, 1]]"),
+        (("centerline",), DEEP)],
+        ids=["empty", "flat", "scalar", "one-point", "3d", "nan", "short-left", "deep"])
     def test_malformed_points_answered_and_serving_goes_on(self, keys, points):
         # empty, flat or scalar point arrays used to raise IndexError inside
-        # the simulator and end the server without a reply
+        # the simulator and end the server without a reply, and deep nesting
+        # a RecursionError in the JSON parser
         road = valid_road()
         bad = json.loads(serialize_road_line(road))
-        bad.update({key: points for key in keys})
-        stdin = io.StringIO(json.dumps(bad) + "\n" + serialize_road_line(road) + "\n")
+        bad.update({key: "<points>" for key in keys})
+        line = json.dumps(bad).replace('"<points>"', points)  # DEEP is too deep to dump
+        stdin = io.StringIO(line + "\n" + serialize_road_line(road) + "\n")
         stdout = io.StringIO()
         drive = builtin_driver(VehicleParams(speed=25.0))
         serve_builtin(drive, stdin, stdout)
@@ -373,6 +380,10 @@ for n, line in enumerate(sys.stdin):
 for n, line in enumerate(sys.stdin):
     print("garbage" if n == 1 else reply(line), flush=True)
 """,
+    "deep_second": """
+for n, line in enumerate(sys.stdin):
+    print("[" * 100000 + "]" * 100000 if n == 1 else reply(line), flush=True)
+""",
     "exit_after_two": """
 for n, line in enumerate(sys.stdin):
     print(reply(line), flush=True)
@@ -498,6 +509,18 @@ class TestSutSession:
         assert len(self.children(pids)) == 2
         [warning] = self.warnings(caplog)
         assert "malformed reply" in warning
+
+    def test_deeply_nested_line_retires_the_child(self, tmp_path, roads, caplog):
+        # the JSON parser's RecursionError used to end the run
+        sut, pids = self.stub(tmp_path, "deep_second")
+        with caplog.at_level(logging.WARNING, logger="roadsearch"):
+            results = self.drive(sut, roads[:3])
+        self.assert_answered(results[0], roads[0])
+        assert results[1].verdict == INVALID and results[1].error == ERR_PROTOCOL
+        self.assert_answered(results[2], roads[2])
+        assert len(self.children(pids)) == 2
+        [warning] = self.warnings(caplog)
+        assert "malformed reply: maximum recursion depth exceeded" in warning
 
     def test_exit_after_two_roads(self, tmp_path, roads, caplog):
         sut, pids = self.stub(tmp_path, "exit_after_two")

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from roadsearch.geometry import ControlPointSet, frechet_pairs
-from roadsearch.config import ConfigError
+from roadsearch.config import ConfigError, serialize_config
 from roadsearch.protocol import SutDescriptor
 from roadsearch.report import (
     ReplayDivergence,
@@ -38,13 +37,15 @@ BUILTIN = SutDescriptor()
 # written by `roadsearch run --variant B --seed 5 --budget-evals 20` at
 # 25 m/s while the GA's rates, the vehicle geometry, the road geometry, the
 # map and the control-point count were config keys, so its config holds all
-# seventeen at their values; with the SHA-256 of the two failure SVGs that
-# run wrote
+# seventeen at their values
 RETIRED_KEYS_ARCHIVE = Path(__file__).parent / "data" / "archive_retired_keys.json"
-RETIRED_KEYS_SVGS = {
-    "fail_0007.svg": "d3677cb1ffce569df30be6d7f85891c58bcbd47b7fd5eb91f63cb66b6168bda5",
-    "fail_0009.svg": "70a0ca55b6ae0c768d2cd08d94fdbe09a1ab8ff5f6363f267ac0e3b83d23792b",
-}
+
+
+def current_keys(config):
+    """``config`` with only the keys a config file takes today."""
+    fields = serialize_config(SearchConfig(), VehicleParams(), SutDescriptor())
+    return {section: {key: value for key, value in config[section].items() if key in keys}
+            for section, keys in fields.items()}
 
 
 def straight_points(y=100.0):
@@ -174,15 +175,12 @@ class TestReplay:
 
     def test_archive_with_timing_keys_replays_and_renders(self, real_run, tmp_path):
         # archives written while the step and time cap were options carry
-        # them as top-level keys, always 0.05 and 120.0, and older ones a
-        # sut.kind; all three are ignored
+        # them as top-level keys, always 0.05 and 120.0; no code reads them
         _, paths = real_run
         archive = load_archive(paths["archive"])
         assert "dt" not in archive and "max_time" not in archive
-        assert "kind" not in archive["config"]["sut"]
-        config = {**archive["config"], "sut": {"kind": "builtin", **archive["config"]["sut"]}}
         old = tmp_path / "old.json"
-        old.write_text(json.dumps({**archive, "config": config, "dt": 0.05, "max_time": 120.0}))
+        old.write_text(json.dumps({**archive, "dt": 0.05, "max_time": 120.0}))
         old_archive = load_archive(old)
         for rec in old_archive["records"][:3]:
             assert replay(old_archive, rec["id"]).verdict == rec["verdict"]
@@ -194,25 +192,19 @@ class TestReplay:
         assert len(svgs) == len(fails)
         assert [p.read_bytes() for p in svgs] == [p.read_bytes() for p in fresh]
 
-    def test_builtin_kind_archive_ignores_its_command(self, real_run, tmp_path):
-        # an archive whose sut says "builtin" was driven by the built-in
-        # simulator, whatever command it also holds
+    @pytest.mark.parametrize("kind", ["builtin", "external"])
+    def test_archive_with_a_sut_kind_is_refused(self, real_run, tmp_path, kind):
+        # a SUT is external exactly when it has a command; an archive whose
+        # sut still names its kind is refused, whatever its command
         _, paths = real_run
         archive = load_archive(paths["archive"])
-        sut = {"kind": "builtin", "command": "false", "timeout": 30.0}
+        sut = {"kind": kind, "command": "false", "timeout": 30.0}
         old = {**archive, "config": {**archive["config"], "sut": sut}}
-        fails = [r for r in old["records"] if r["verdict"] == FAIL]
-        assert fails
-        for rec in old["records"][:3] + fails[:1]:
-            assert replay(old, rec["id"]).verdict == rec["verdict"]
-        svgs = render_failures(old, tmp_path / "old")
-        fresh = render_failures(archive, tmp_path / "new")
-        assert [p.read_bytes() for p in svgs] == [p.read_bytes() for p in fresh]
-        # an "external" kind keeps its command, so replay asks for it
-        external = {**archive, "config": {**archive["config"],
-                                          "sut": {**sut, "kind": "external"}}}
-        with pytest.raises(ValueError, match="external SUT"):
-            replay(external, 0)
+        for call in (lambda: replay(old, 0), lambda: replay(old, 0, sut_command="false"),
+                     lambda: render_failures(old, tmp_path / "old")):
+            with pytest.raises(ConfigError, match=r"^sut\.kind: unknown key$"):
+                call()
+        assert not (tmp_path / "old").exists()
 
     def test_tampered_record_diverges(self, tmp_path):
         # archive a straight road with a blatantly wrong stored fitness
@@ -245,9 +237,10 @@ class TestReplay:
 
 class TestRetiredSettings:
     """Archives from before the GA's rates, the vehicle geometry, the road
-    geometry, the map and the control-point count became module constants."""
+    geometry, the map and the control-point count became module constants
+    are refused, as a config file that sets one is."""
 
-    def test_archive_with_retired_keys_replays_and_renders(self, tmp_path):
+    def test_archive_with_retired_keys_is_refused(self, tmp_path):
         archive = load_archive(RETIRED_KEYS_ARCHIVE)
         assert archive["config"]["search"]["tournament_size"] == 2
         assert archive["config"]["search"]["num_control_points"] == 7
@@ -255,11 +248,15 @@ class TestRetiredSettings:
         assert archive["config"]["road"] == {"lane_width": 4.0, "num_samples": 100,
                                              "min_radius": 7.0, "map_size": 200.0,
                                              "overlap_buffer": 8.0}
-        for rec in archive["records"]:
-            assert replay(archive, rec["id"]).verdict == rec["verdict"]
-        svgs = render_failures(archive, tmp_path)
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in svgs} == RETIRED_KEYS_SVGS
+        with pytest.raises(ConfigError, match=r"^unknown section\(s\): road$"):
+            replay(archive, 0)
+        with pytest.raises(ConfigError, match=r"^unknown section\(s\): road$"):
+            render_failures(archive, tmp_path)
+        assert not list(tmp_path.iterdir())
+        # the refusal is of the format: without those keys each record replays
+        current = {**archive, "config": current_keys(archive["config"])}
+        for rec in current["records"]:
+            assert replay(current, rec["id"]).verdict == rec["verdict"]
 
     @pytest.mark.parametrize("section, key, value", [
         ("vehicle", "lookahead", 6.0),
@@ -268,11 +265,14 @@ class TestRetiredSettings:
         ("search", "num_control_points", 5),
     ])
     def test_archive_run_at_another_value_is_refused(self, tmp_path, section, key, value):
-        # it would replay and render under a setting it was not run with
+        # a retired key is refused at any value, by the name a config file's is
         archive = load_archive(RETIRED_KEYS_ARCHIVE)
-        archive["config"][section][key] = value
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        archive["config"] = current_keys(archive["config"])
+        archive["config"].setdefault(section, {})[key] = value
+        message = (r"^unknown section\(s\): road$" if section == "road"
+                   else rf"^{section}\.{key}: unknown key$")
+        with pytest.raises(ConfigError, match=message):
             replay(archive, 0)
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        with pytest.raises(ConfigError, match=message):
             render_failures(archive, tmp_path)
         assert not list(tmp_path.iterdir())
