@@ -38,8 +38,9 @@ log = logging.getLogger("roadsearch")
 
 
 def _setup_logging():
-    level = os.environ.get("ROADSEARCH_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name maps to its number, anything else (say BASIC_FORMAT) to a string
+    level = logging.getLevelName(os.environ.get("ROADSEARCH_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -51,9 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     run.add_argument("--variant", choices=("A", "B", "C"))
     run.add_argument("--seed", type=int)
-    budget = run.add_mutually_exclusive_group()
-    budget.add_argument("--budget-evals", type=int, metavar="N")
-    budget.add_argument("--budget-seconds", type=float, metavar="S")
+    run.add_argument("--budget-evals", type=int, metavar="N")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--sut", metavar="COMMAND", help="external SUT command")
     run.add_argument("--runs", type=int, default=1, metavar="N",
@@ -81,12 +80,9 @@ def _driver(sut: SutDescriptor, vparams, session: SutSession | None = None) -> D
 
 def _cmd_run(args) -> int:
     # a flag left out (None, or False for --novelty) keeps the config file's value
-    flags = {"variant": args.variant, "seed": args.seed, "novelty_filter": args.novelty or None}
+    flags = {"variant": args.variant, "seed": args.seed, "max_evaluations": args.budget_evals,
+             "novelty_filter": args.novelty or None}
     search = {key: value for key, value in flags.items() if value is not None}
-    if args.budget_evals is not None:
-        search.update(max_evaluations=args.budget_evals, wall_time=None)
-    if args.budget_seconds is not None:
-        search.update(max_evaluations=None, wall_time=args.budget_seconds)
     overrides = {"search": search, "sut": {} if args.sut is None else {"command": args.sut}}
     data = read_config(args.config) if args.config else {}
     search_cfg, vparams, sut = parse_config_dict(data, overrides)

@@ -304,6 +304,7 @@ def main(argv=None) -> int:
         vparams = VehicleParams(speed=args.speed)
     except ValueError as exc:
         parser.error(str(exc))
+    sys.stdin.reconfigure(encoding="utf-8", errors="replace")  # a non-UTF-8 line is answered INVALID
     serve_builtin(builtin_driver(vparams))
     return 0
 

@@ -16,7 +16,6 @@ the population's average pairwise Frechet distance.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -77,19 +76,17 @@ Driver = Callable[[RoadSpec], TestResult]
 class SearchConfig:
     """Everything one search run needs, including the RNG seed.
 
-    The budget is either ``max_evaluations`` or ``wall_time`` seconds
-    (exactly one); with neither given, a desk-scale default of 300
-    evaluations applies. ``population_size`` defaults to 25 for variants
-    A/B and 15 for variant C. The genotype and the GA's operators are
-    fixed: see ``NUM_CONTROL_POINTS``, ``TOURNAMENT_SIZE``,
-    ``CROSSOVER_PROB``, ``MUTATION_PROB`` and ``MUTATION_RANGE``, with
-    single-individual elitism.
+    The budget is ``max_evaluations`` tests (300 by default), checked
+    before each seed is drawn and each offspring built. ``population_size``
+    defaults to 25 for variants A/B and 15 for variant C. The genotype and
+    the GA's operators are fixed: see ``NUM_CONTROL_POINTS``,
+    ``TOURNAMENT_SIZE``, ``CROSSOVER_PROB``, ``MUTATION_PROB`` and
+    ``MUTATION_RANGE``, with single-individual elitism.
     """
 
     variant: str = "A"
     population_size: int | None = None
-    max_evaluations: int | None = None
-    wall_time: float | None = None
+    max_evaluations: int = 300
     novelty_filter: bool = False
     seed: int = 0
 
@@ -98,22 +95,13 @@ class SearchConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.population_size is None:
             self.population_size = 15 if self.variant == "C" else 25
-        if self.max_evaluations is None and self.wall_time is None:
-            self.max_evaluations = 300
-        if self.max_evaluations is not None and self.wall_time is not None:
-            raise ValueError("give max_evaluations or wall_time, not both")
         # a float count or seed crashes range() or numpy mid-run, and a NaN or
-        # inf budget never runs out; max_evaluations is None under a wall_time
+        # inf budget never runs out
         lower = {"population_size": 2, "max_evaluations": 1, "seed": 0}
         for name, low in lower.items():
             value = getattr(self, name)
-            if value is None and name == "max_evaluations":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        if self.wall_time is not None and (isinstance(self.wall_time, bool) or not (
-                math.isfinite(self.wall_time) and self.wall_time > 0)):
-            raise ValueError("wall_time must be positive and finite")
         # a truthy string such as "false" would switch the filter on
         if not isinstance(self.novelty_filter, bool):
             raise ValueError("novelty_filter must be true or false")
@@ -346,12 +334,6 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
     rng = np.random.default_rng(config.seed)
     records: list[Individual] = []
     events: list[dict] = []
-    deadline = time.monotonic() + config.wall_time if config.wall_time else None
-
-    def out_of_budget() -> bool:
-        if config.max_evaluations is not None and len(records) >= config.max_evaluations:
-            return True
-        return deadline is not None and time.monotonic() >= deadline
 
     def emit(kind: str, **detail):
         event = {"kind": kind, **detail}
@@ -362,7 +344,7 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
     epoch = gen_index = 0
     pop: list[Individual] = []  # empty until a seed batch completes
     partial_seed = False
-    while not out_of_budget():
+    while len(records) < config.max_evaluations:
         seeding = not pop
         if seeding:
             guided = config.variant == "C" and epoch > 0
@@ -387,7 +369,7 @@ def run_search(config: SearchConfig, evaluator, *, reporter=None) -> RunReport:
                     emit("FAIL", test=len(records) - 1, fitness=ind.fitness)
                     reseed = config.variant in RESTART_VARIANTS
             reached.append(ind)
-            if reseed or out_of_budget():
+            if reseed or len(records) >= config.max_evaluations:
                 break
         if reseed:
             emit("RESEED", epoch=epoch)

@@ -100,10 +100,13 @@ class TestRun:
         assert code == 1
         assert "mutation_prob" in capsys.readouterr().err
 
-    def test_budget_flags_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_budget_seconds_is_a_usage_error(self, tmp_path, capsys):
+        # the budget is a count of evaluations; there is no time budget
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--budget-evals", "5", "--budget-seconds", "2",
                   "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--budget-seconds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_runs_below_one_is_usage_error(self, tmp_path, runs, capsys):
@@ -296,9 +299,11 @@ class TestReplayCommand:
          "vehicle.lookahead: unknown key"),
         (json.dumps({**straight_archive(), "config": {"sut": {"kind": "builtin"}}}),
          "sut.kind: unknown key"),
+        (json.dumps({**straight_archive(), "config": {"search": {"wall_time": None}}}),
+         "search.wall_time: unknown key"),
     ], ids=["number", "null", "string", "genotype", "nan-fitness", "inf-fitness",
             "huge-fitness", "bool-fitness", "bool-id", "deep", "road-section",
-            "lookahead", "sut-kind"])
+            "lookahead", "sut-kind", "wall-time"])
     def test_replay_of_a_malformed_archive(self, tmp_path, capsys, text, message):
         # each of the first four used to end in a TypeError traceback
         path = tmp_path / "archive.json"
@@ -345,7 +350,9 @@ class TestRenderCommand:
          "vehicle.lookahead: unknown key"),
         (lambda config: {**config, "sut": {**config["sut"], "kind": "builtin"}},
          "sut.kind: unknown key"),
-    ], ids=["config", "section", "road-section", "lookahead", "sut-kind"])
+        (lambda config: {**config, "search": {**config["search"], "wall_time": None}},
+         "search.wall_time: unknown key"),
+    ], ids=["config", "section", "road-section", "lookahead", "sut-kind", "wall-time"])
     def test_render_of_an_archive_with_a_malformed_config(self, tmp_path, capsys,
                                                           edit, message):
         out = tmp_path / "out"
@@ -392,28 +399,44 @@ class TestRenderCommand:
         assert not (tmp_path / "svgs").exists()
 
 
+def run_cli_child(tmp_path, evals, log):
+    """``roadsearch run`` of variant A, seed 1, in a child process.
+
+    A bare environment checks that the entry point needs nothing from the
+    caller's; PYTHONPATH points at the package this process imported, so
+    the child runs the tree under test and not some installed copy.
+    cwd=tmp_path keeps a stray roadsearch/ in the launch directory from
+    shadowing it (python -m puts cwd first)."""
+    src_root = Path(roadsearch.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "roadsearch.cli", "run", "--variant", "A",
+         "--seed", "1", "--budget-evals", str(evals), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "ROADSEARCH_LOG": log, "PYTHONPATH": str(src_root)},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # A bare environment checks that the entry point needs nothing from
-        # the caller's; PYTHONPATH points at the package this process
-        # imported, so the child runs the tree under test and not some
-        # installed copy. cwd=tmp_path keeps a stray roadsearch/ in the
-        # launch directory from shadowing it (python -m puts cwd first).
-        src_root = Path(roadsearch.__file__).resolve().parents[1]
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "roadsearch.cli", "run", "--variant", "A",
-             "--seed", "1", "--budget-evals", "8", "--out", str(out)],
-            capture_output=True, text=True, timeout=300, cwd=tmp_path,
-            env={"PATH": "/usr/bin:/bin", "ROADSEARCH_LOG": "INFO",
-                 "PYTHONPATH": str(src_root)},
-        )
+        proc = run_cli_child(tmp_path, 8, "INFO")
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.csv").exists()
         rows = read_summary(out / "summary.csv")
         assert len(rows) == 1
         assert int(rows[0]["T"]) == 8
         assert "INFO roadsearch: run 1/1" in proc.stderr
+
+    @pytest.mark.parametrize("log", ["basic_format", "nonsense"])
+    def test_a_log_value_that_is_no_level_name_warns_only(self, tmp_path, log):
+        # "basic_format" used to find logging.BASIC_FORMAT, a format string,
+        # and every command died with a ValueError traceback; a subprocess,
+        # because in-process pytest's root handlers make basicConfig return
+        # before it checks the level
+        proc = run_cli_child(tmp_path, 2, log)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "INFO" not in proc.stderr
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

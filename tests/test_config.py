@@ -16,7 +16,6 @@ class TestDefaults:
         assert search.variant == "A"
         assert search.population_size == 25
         assert search.max_evaluations == 300
-        assert search.wall_time is None
         assert vehicle.speed == 12.0
         assert sut.command is None
 
@@ -89,17 +88,18 @@ class TestValidation:
 
     def test_nan_in_file_rejected(self, tmp_path):
         # json reads NaN and Infinity as floats, and true as a bool that
-        # passes for 1; the dataclasses refuse them, and a switch that is
-        # not a bool ("false" is truthy)
+        # passes for 1; the dataclasses refuse them, a switch that is not a
+        # bool ("false" is truthy), and a null budget (it once read as 300)
         path = tmp_path / "cfg.json"
         for text, key in (('{"vehicle": {"speed": NaN}}', "speed"),
-                          ('{"search": {"wall_time": Infinity}}', "wall_time"),
+                          ('{"search": {"max_evaluations": Infinity}}', "max_evaluations"),
                           ('{"sut": {"timeout": NaN}}', "timeout"),
                           ('{"sut": {"timeout": Infinity}}', "timeout"),
                           ('{"sut": {"timeout": 1e300}}', "timeout"),
                           ('{"vehicle": {"speed": true}}', "speed"),
                           ('{"sut": {"timeout": true}}', "timeout"),
-                          ('{"search": {"wall_time": true}}', "wall_time"),
+                          ('{"search": {"max_evaluations": true}}', "max_evaluations"),
+                          ('{"search": {"max_evaluations": null}}', "max_evaluations"),
                           ('{"search": {"novelty_filter": "false"}}', "novelty_filter"),
                           ('{"search": {"novelty_filter": 0}}', "novelty_filter")):
             path.write_text(text)
@@ -122,12 +122,13 @@ class TestValidation:
     @pytest.mark.parametrize("section, key", [
         ("search", "mutation_prob"), ("search", "mutation_range"),
         ("search", "tournament_size"), ("search", "elitism"), ("search", "crossover_prob"),
+        ("search", "wall_time"),
         ("vehicle", "wheelbase"), ("vehicle", "width"), ("vehicle", "length"),
         ("vehicle", "max_steer"), ("vehicle", "lookahead"), ("vehicle", "steer_rate"),
     ])
     def test_fixed_operator_and_vehicle_keys_are_unknown(self, section, key):
-        # the GA's rates and the vehicle's geometry are module constants;
-        # a file that sets one, even to its value, is refused
+        # the GA's rates and the vehicle's geometry are module constants, and
+        # the budget is a count alone; a file that sets one is refused
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
             parse_config_dict({section: {key: 1}})
 
@@ -135,7 +136,7 @@ class TestValidation:
         data = serialize_config(*parse_config_dict({}))
         assert {s: sorted(v) for s, v in data.items()} == {
             "search": ["max_evaluations", "novelty_filter", "population_size", "seed",
-                       "variant", "wall_time"],
+                       "variant"],
             "vehicle": ["speed"],
             "sut": ["command", "timeout"],
         }

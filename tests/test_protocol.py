@@ -246,6 +246,23 @@ class TestServerChild:
             assert reply.verdict == ref.verdict
             assert abs(reply.max_oob - ref.max_oob) <= 1e-9
 
+    def test_non_utf8_line_answered_invalid_and_serving_goes_on(self, tmp_path):
+        # under a strict UTF-8 stdin the server used to die in a
+        # UnicodeDecodeError and never answer the valid road after the line
+        road = valid_road()
+        src_root = Path(roadsearch.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [PY, "-m", "roadsearch.protocol", "--speed", "25"],
+            input=b"\xff\xfe\n" + serialize_road_line(road).encode() + b"\n",
+            capture_output=True, timeout=300, cwd=tmp_path,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_root),
+                 "PYTHONIOENCODING": "utf-8:strict"})
+        assert proc.returncode == 0, proc.stderr
+        replies = [parse_reply(ln) for ln in proc.stdout.decode().splitlines()]
+        direct = builtin_driver(VehicleParams(speed=25.0))(road)
+        assert [r.verdict for r in replies] == [INVALID, direct.verdict]
+        assert abs(replies[1].max_oob - direct.max_oob) <= 1e-9
+
 
 class TestExternalEvaluate:
     def test_differential_against_in_process(self):

@@ -88,12 +88,7 @@ class TestSearchConfig:
         assert SearchConfig(variant="C").population_size == 15
 
     def test_budget_default(self):
-        cfg = SearchConfig()
-        assert cfg.max_evaluations == 300 and cfg.wall_time is None
-
-    def test_both_budgets_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_evaluations=10, wall_time=5.0)
+        assert SearchConfig().max_evaluations == 300
 
     def test_ranges(self):
         with pytest.raises(ValueError):
@@ -102,18 +97,17 @@ class TestSearchConfig:
             SearchConfig(population_size=1)
 
     @pytest.mark.parametrize("bad", [
-        {"wall_time": math.nan}, {"wall_time": math.inf},
         {"max_evaluations": math.nan}, {"max_evaluations": math.inf},
         {"population_size": math.nan}, {"population_size": math.inf},
         # a float count crashes range() or numpy mid-run
         {"population_size": 2.5}, {"population_size": 25.0},
         {"max_evaluations": 60.5},
-        # a bool is no duration or length, and a string no switch
-        {"wall_time": True},
+        # None once meant the default budget; a string is no switch
+        {"max_evaluations": None},
         {"novelty_filter": "false"}, {"novelty_filter": 1},
     ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
     def test_non_finite_rejected(self, bad):
-        # a NaN wall_time or max_evaluations budget would never run out
+        # a NaN or infinite max_evaluations budget would never run out
         with pytest.raises(ValueError):
             SearchConfig(**bad)
 
@@ -715,9 +709,3 @@ class TestRunSearch:
         assert {id(r.genotype) for r in report.records} <= validated.keys() <= built.keys()
         assert max(n for _, n in built.values()) == 1
         assert max(validated.values()) == 1
-
-    def test_wall_time_budget_terminates(self):
-        cfg = SearchConfig(variant="A", wall_time=0.5, seed=1)
-        report = run_search(cfg, stub_evaluator(fitness_by_mean_y))
-        assert len(report.records) >= 1
-        assert report.events[-1]["kind"] == "BUDGET_EXHAUSTED"
